@@ -65,7 +65,13 @@ impl Layer for MaxPool2d {
         );
         let k = self.window;
         let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        // Only a training forward needs the argmax map for backward.
+        let train = mode == Mode::Train;
+        let mut argmax = if train {
+            vec![0usize; n * c * oh * ow]
+        } else {
+            Vec::new()
+        };
         let data = input.data();
         let out_data = out.data_mut();
         for ni in 0..n {
@@ -89,12 +95,14 @@ impl Layer for MaxPool2d {
                             }
                         }
                         out_data[out_off + oy * ow + ox] = best;
-                        argmax[out_off + oy * ow + ox] = best_idx;
+                        if train {
+                            argmax[out_off + oy * ow + ox] = best_idx;
+                        }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
+        if train {
             self.cache = Some(PoolCache {
                 input_shape: input.shape().to_vec(),
                 argmax,

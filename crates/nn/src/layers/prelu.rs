@@ -35,17 +35,16 @@ impl PRelu {
         }
     }
 
-    /// Maps a flat element index to its slope index.
-    fn slope_index(&self, shape: &[usize], flat: usize) -> usize {
-        let n_alpha = self.alpha.value.len();
-        if n_alpha == 1 {
-            return 0;
+    /// Length of the contiguous run of elements that share one slope:
+    /// the whole tensor for a shared slope, otherwise the product of the
+    /// dims after the channel axis (1 for `(N, F)` input). Runs cycle
+    /// through the slopes in channel order.
+    fn run_len(&self, shape: &[usize]) -> usize {
+        if self.alpha.value.len() == 1 {
+            shape.iter().product::<usize>().max(1)
+        } else {
+            shape[2..].iter().product::<usize>().max(1)
         }
-        // Channel axis is axis 1; inner size is the product of trailing dims.
-        let inner: usize = shape[2..].iter().product::<usize>().max(1);
-        let c = (flat / inner) % shape[1];
-        debug_assert!(c < n_alpha);
-        c
     }
 }
 
@@ -62,21 +61,15 @@ impl Layer for PRelu {
         if mode == Mode::Train {
             self.cache_input = Some(input.clone());
         }
-        let shape = input.shape().to_vec();
-        let alpha = self.alpha.value.data();
-        let data = input
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha[self.slope_index(&shape, i)] * x
-                }
-            })
-            .collect();
-        Tensor::from_vec(shape, data)
+        let run = self.run_len(input.shape());
+        let mut out = Tensor::zeros(input.shape().to_vec());
+        let runs = out.data_mut().chunks_mut(run).zip(input.data().chunks(run));
+        for ((ys, xs), &a) in runs.zip(self.alpha.value.data().iter().cycle()) {
+            for (y, &x) in ys.iter_mut().zip(xs) {
+                *y = if x > 0.0 { x } else { a * x };
+            }
+        }
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -84,24 +77,27 @@ impl Layer for PRelu {
             .cache_input
             .take()
             .expect("PRelu::backward called without a training forward pass");
-        let shape = input.shape().to_vec();
-        let alpha = self.alpha.value.data().to_vec();
+        let run = self.run_len(input.shape());
+        let alpha = self.alpha.value.data();
         let mut grad_alpha = vec![0.0f32; alpha.len()];
-        let mut grad_in = Tensor::zeros(shape.clone());
-        for (i, ((&x, &g), gi)) in input
-            .data()
-            .iter()
-            .zip(grad_output.data())
-            .zip(grad_in.data_mut())
-            .enumerate()
-        {
-            if x > 0.0 {
-                *gi = g;
-            } else {
-                let s = self.slope_index(&shape, i);
-                *gi = g * alpha[s];
-                grad_alpha[s] += g * x;
+        let mut grad_in = Tensor::zeros(input.shape().to_vec());
+        let runs = grad_in
+            .data_mut()
+            .chunks_mut(run)
+            .zip(input.data().chunks(run))
+            .zip(grad_output.data().chunks(run));
+        for (((gis, xs), gs), c) in runs.zip((0..alpha.len()).cycle()) {
+            let a = alpha[c];
+            for ((gi, &x), &g) in gis.iter_mut().zip(xs).zip(gs) {
+                *gi = if x > 0.0 { g } else { g * a };
             }
+            // Each slope's gradient sums its elements in ascending flat
+            // order, run by run, as one element-order pass would. Adding
+            // +0.0 for a positive input changes nothing: the sum starts at
+            // +0.0, so it can never become −0.0.
+            grad_alpha[c] = xs.iter().zip(gs).fold(grad_alpha[c], |ga, (&x, &g)| {
+                ga + if x > 0.0 { 0.0 } else { g * x }
+            });
         }
         self.alpha
             .grad

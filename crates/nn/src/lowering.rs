@@ -96,6 +96,15 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
                         continue;
                     }
                     let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
+                    if s == 1 {
+                        // Stride 1: the in-bounds taps are one contiguous
+                        // source run, flanked by padding zeros.
+                        let (lo, hi, shift) = unit_stride_span(kx, g.pad, w, out_w);
+                        dst_row[..lo].fill(0.0);
+                        dst_row[lo..hi].copy_from_slice(&src_row[shift..shift + hi - lo]);
+                        dst_row[hi..].fill(0.0);
+                        continue;
+                    }
                     // Explicit indices: ox maps to a *shifted, strided*
                     // source column, which iterator adapters would obscure.
                     #[allow(clippy::needless_range_loop)]
@@ -110,6 +119,19 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
                 }
             }
         }
+    }
+}
+
+/// For stride 1, the output columns `lo..hi` whose tap `ox + kx − pad`
+/// lands inside a `w`-wide row, and the source column `shift` of the
+/// first one. A row with no in-bounds tap gives `(0, 0, 0)`.
+fn unit_stride_span(kx: usize, pad: usize, w: usize, out_w: usize) -> (usize, usize, usize) {
+    let lo = pad.saturating_sub(kx);
+    let hi = (w + pad).saturating_sub(kx).min(out_w);
+    if lo < hi {
+        (lo, hi, lo + kx - pad)
+    } else {
+        (0, 0, 0)
     }
 }
 
@@ -141,6 +163,16 @@ pub fn col2im_add(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
                     }
                     let dst_row = &mut plane[iy as usize * w..(iy as usize + 1) * w];
                     let src_row = &src[oy * out_w..(oy + 1) * out_w];
+                    if s == 1 {
+                        let (lo, hi, shift) = unit_stride_span(kx, g.pad, w, out_w);
+                        for (d, &v) in dst_row[shift..shift + hi - lo]
+                            .iter_mut()
+                            .zip(&src_row[lo..hi])
+                        {
+                            *d += v;
+                        }
+                        continue;
+                    }
                     #[allow(clippy::needless_range_loop)]
                     for ox in 0..out_w {
                         let ix = (ox * s) as isize + kx as isize - pad;
@@ -212,6 +244,30 @@ mod tests {
         let lhs: f32 = cx.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f32 = x.iter().zip(&cty).map(|(a, b)| a * b).sum();
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn unit_stride_matches_strided_path_when_padding_exceeds_width() {
+        // Padding wider than the input leaves whole kernel columns with no
+        // in-bounds tap; the stride-1 row copy must zero them exactly as
+        // the per-element path does (a 1×1 stride-1 output is also what
+        // a stride-2 geometry with the same taps produces).
+        let unit = geom(1, 1, 1, 5, 1, 2);
+        let strided = geom(1, 1, 1, 5, 2, 2);
+        assert_eq!(unit.col_cols(), 1);
+        assert_eq!(strided.col_cols(), 1);
+        let x = vec![7.0];
+        let (mut a, mut b) = (vec![f32::NAN; 25], vec![f32::NAN; 25]);
+        im2col(&unit, &x, &mut a);
+        im2col(&strided, &x, &mut b);
+        assert_eq!(a, b);
+        assert_eq!(a.iter().filter(|&&v| v == 7.0).count(), 1);
+        let (mut ga, mut gb) = (vec![0.0], vec![0.0]);
+        let y: Vec<f32> = (0..25).map(|i| i as f32).collect();
+        col2im_add(&unit, &y, &mut ga);
+        col2im_add(&strided, &y, &mut gb);
+        assert_eq!(ga, gb);
+        assert_eq!(ga, vec![12.0]);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Property-based tests (proptest) for the convolution lowering and the
 //! blocked GEMM kernels.
 //!
-//! Inputs are *integer-valued* floats: every product and partial sum is
-//! exactly representable in `f32`, so the lowered (im2col + GEMM) and
+//! Most inputs are *integer-valued* floats: every product and partial sum
+//! is exactly representable in `f32`, so the lowered (im2col + GEMM) and
 //! naive convolution paths must agree to full precision regardless of
-//! summation order — far inside the 1e-10 equivalence budget.
+//! summation order — far inside the 1e-10 equivalence budget. The one
+//! exception, `gemm_variants_are_bit_identical_on_fractional_data`, uses
+//! fractional data on purpose: there a reordered reduction rounds
+//! differently, so `to_bits` equality with `naive_matmul` pins the
+//! summation order itself.
 
 use proptest::prelude::*;
 
@@ -25,6 +29,65 @@ fn int_data(len: usize, seed: u64) -> Vec<f32> {
             ((state >> 33) % 9) as f32 - 4.0
         })
         .collect()
+}
+
+/// Deterministic fractional data in `[-1, 1)` with 24 significant bits,
+/// so products and partial sums round.
+fn frac_data(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_add(0x2545_F491_4F6C_DD1D);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) as f32 / (1u32 << 23) as f32 - 1.0) * 0.7
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs `gemm_nn`, `gemm_nt` (fed `B` transposed) and `gemm_tn` (fed `A`
+/// transposed), each accumulating `A·B` into a copy of `init`, and
+/// requires every result to equal `naive_matmul`'s bit-for-bit.
+fn check_gemm_variants(
+    a: &[f32],
+    b: &[f32],
+    init: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let mut want = init.to_vec();
+    naive_matmul(a, b, &mut want, m, k, n);
+    let want = bits(&want);
+
+    let mut got = init.to_vec();
+    gemm_nn(a, b, &mut got, m, k, n);
+    prop_assert_eq!(bits(&got), want, "gemm_nn {}x{}x{}", m, k, n);
+
+    let mut bt = vec![0.0f32; n * k];
+    for p in 0..k {
+        for j in 0..n {
+            bt[j * k + p] = b[p * n + j];
+        }
+    }
+    let mut got = init.to_vec();
+    gemm_nt(a, &bt, &mut got, m, k, n);
+    prop_assert_eq!(bits(&got), want, "gemm_nt {}x{}x{}", m, k, n);
+
+    let mut at = vec![0.0f32; k * m];
+    for i in 0..m {
+        for p in 0..k {
+            at[p * m + i] = a[i * k + p];
+        }
+    }
+    let mut got = init.to_vec();
+    gemm_tn(&at, b, &mut got, m, k, n);
+    prop_assert_eq!(bits(&got), want, "gemm_tn {}x{}x{}", m, k, n);
+    Ok(())
 }
 
 proptest! {
@@ -113,32 +176,24 @@ proptest! {
     ) {
         let a = int_data(m * k, seed);
         let b = int_data(k * n, seed ^ 0xABCD);
-        let mut want = vec![0.0f32; m * n];
-        naive_matmul(&a, &b, &mut want, m, k, n);
+        check_gemm_variants(&a, &b, &vec![0.0; m * n], m, k, n)?;
+    }
 
-        let mut got = vec![0.0f32; m * n];
-        gemm_nn(&a, &b, &mut got, m, k, n);
-        prop_assert_eq!(&got, &want, "gemm_nn");
-
-        let mut bt = vec![0.0f32; n * k];
-        for p in 0..k {
-            for j in 0..n {
-                bt[j * k + p] = b[p * n + j];
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        gemm_nt(&a, &bt, &mut got, m, k, n);
-        prop_assert_eq!(&got, &want, "gemm_nt");
-
-        let mut at = vec![0.0f32; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        gemm_tn(&at, &b, &mut got, m, k, n);
-        prop_assert_eq!(&got, &want, "gemm_tn");
+    /// The same check on fractional data accumulated into a non-zero
+    /// `out`, across the row-tile edges: `n` below, at and off a multiple
+    /// of the 16-wide tile, odd `m` (a one-row tile), `m` under the
+    /// `gemm_nt` tile threshold of 8, and `k = 1`.
+    #[test]
+    fn gemm_variants_are_bit_identical_on_fractional_data(
+        m in prop::sample::select(vec![1usize, 2, 3, 7, 8, 9, 16, 17, 30]),
+        k in prop::sample::select(vec![1usize, 2, 5, 25, 64, 257]),
+        n in prop::sample::select(vec![1usize, 7, 15, 16, 17, 33, 48, 225]),
+        seed in 0u64..1000,
+    ) {
+        let a = frac_data(m * k, seed);
+        let b = frac_data(k * n, seed ^ 0xABCD);
+        let init = frac_data(m * n, seed ^ 0x5151);
+        check_gemm_variants(&a, &b, &init, m, k, n)?;
     }
 
     // ---- conv backends ----

@@ -14,6 +14,11 @@
 //!    re-read, and after deliberate on-disk corruption — must match the
 //!    cacheless run bit-for-bit: caching (like batching) must never
 //!    change an answer.
+//! 4. One crop-60 flux-CNN training step (forward, backward, Adam) on
+//!    integer-LCG weights and inputs must hash to the exact value checked
+//!    in as `flux_step_hash`. Unlike pins 2–3, which compare two runs of
+//!    one build, this one holds across commits: a kernel rewrite that
+//!    reorders a single floating-point reduction changes the hash.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -33,7 +38,8 @@ use snia_repro::core::train::{
 };
 use snia_repro::dataset::cache;
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
-use snia_repro::nn::loss::sigmoid_probs;
+use snia_repro::nn::loss::{mse_loss, sigmoid_probs};
+use snia_repro::nn::optim::{Adam, Optimizer};
 use snia_repro::nn::{Mode, Tensor};
 use snia_repro::serve::{Engine, EngineConfig, ModelBundle, Request, RequestInput};
 
@@ -50,6 +56,8 @@ struct GoldenPipeline {
     test_loss: f64,
     test_acc: f64,
     test_auc: f64,
+    /// FNV-1a hash of [`flux_step_bits`], as 16 hex digits.
+    flux_step_hash: String,
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -93,6 +101,7 @@ fn run_pipeline() -> (LightCurveClassifier, Tensor, Vec<bool>, GoldenPipeline) {
         test_loss,
         test_acc,
         test_auc: auc(&scores, &labels),
+        flux_step_hash: flux_step_hash(),
     };
     (clf, xe, labels, metrics)
 }
@@ -135,6 +144,73 @@ fn pipeline_metrics_match_golden_snapshot() {
     close(got.test_loss, want.test_loss, 1e-2, "test loss");
     close(got.test_acc, want.test_acc, 2e-2, "test accuracy");
     close(got.test_auc, want.test_auc, 2e-2, "test AUC");
+    assert_eq!(
+        got.flux_step_hash, want.flux_step_hash,
+        "crop-60 flux-CNN step bits changed: a kernel no longer reproduces \
+         the checked-in forward/backward/Adam results exactly"
+    );
+}
+
+/// Deterministic `f32` stream in `[-scale, scale)` from a 64-bit LCG.
+/// Every value is an exact integer multiple of `scale · 2⁻²³`, built
+/// without any libm call, so the stream is identical on every host.
+fn lcg_fill(state: &mut u64, out: &mut [f32], scale: f32) {
+    for v in out {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let q = (*state >> 40) as i32 - (1 << 23);
+        *v = q as f32 * (scale / (1 << 23) as f32);
+    }
+}
+
+/// The raw bits of one crop-60 `FluxCnn` training step at batch 4: the
+/// forward output, the loss, the input gradient, every parameter
+/// gradient and every parameter after one `Adam` step. Weights, inputs
+/// and targets all come from [`lcg_fill`] (the constructor's random
+/// initialisation is overwritten), and the step uses only `+ − × ÷ √`,
+/// which IEEE 754 fixes exactly.
+fn flux_step_bits() -> Vec<u32> {
+    const CROP: usize = 60;
+    const BATCH: usize = 4;
+    let mut state = 0x5EED_F1C5_u64;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut cnn = FluxCnn::new(CROP, PoolKind::Max, &mut rng);
+    for p in cnn.params_mut() {
+        // Conv/linear fan-ins span 25..1470; 0.25 keeps activations O(1)
+        // through the BN-normalised blocks and the dense head.
+        lcg_fill(&mut state, p.value.data_mut(), 0.25);
+    }
+    let mut x = Tensor::zeros(vec![BATCH, 1, CROP, CROP]);
+    lcg_fill(&mut state, x.data_mut(), 1.0);
+    let mut target = Tensor::zeros(vec![BATCH, 1]);
+    lcg_fill(&mut state, target.data_mut(), 1.0);
+
+    let y = cnn.forward(&x, Mode::Train);
+    let (loss, grad) = mse_loss(&y, &target);
+    assert!(loss.is_finite(), "golden flux step diverged: loss {loss}");
+    cnn.zero_grad();
+    let dx = cnn.backward(&grad);
+    let mut bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+    bits.push(loss.to_bits());
+    bits.extend(dx.data().iter().map(|v| v.to_bits()));
+    for p in cnn.params() {
+        bits.extend(p.grad.data().iter().map(|v| v.to_bits()));
+    }
+    Adam::new(1e-3).step(&mut cnn.params_mut());
+    for p in cnn.params() {
+        bits.extend(p.value.data().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of [`flux_step_bits`].
+fn flux_step_hash() -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in flux_step_bits().iter().flat_map(|w| w.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
 }
 
 /// Serve scores must be bit-identical to a direct forward call whatever
