@@ -22,7 +22,6 @@ use snia_core::input::batch_pairs_with;
 use snia_core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, train_classifier, ClassifierTrainConfig,
 };
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 use snia_lightcurve::Band;
 use snia_nn::layers::{Linear, Relu};
@@ -191,7 +190,7 @@ fn plain_classifier_auc(
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("ablate");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Ablations (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -14,7 +14,6 @@ use std::time::Instant;
 use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
-use snia_core::ExperimentConfig;
 use snia_dataset::cache;
 use snia_dataset::{Dataset, DatasetConfig};
 
@@ -64,7 +63,7 @@ fn epoch_ms(ds: &Dataset, refs: &[(usize, usize)]) -> (f64, f64) {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("bench_render");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Dataset generation + render cache benchmark");
 
     // --- parallel generation, 1/4/8 threads ---

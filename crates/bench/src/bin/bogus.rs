@@ -18,7 +18,6 @@ use snia_baselines::random_forest::{ForestConfig, RandomForest};
 use snia_bench::{progress, write_json, Table};
 use snia_core::bogus::{bogus_cnn_scores, handcrafted_features, train_bogus_cnn, BogusCnn};
 use snia_core::eval::{auc, fpr_at_tpr, tpr_at_fpr};
-use snia_core::ExperimentConfig;
 use snia_dataset::bogus::generate_bogus_set;
 
 #[derive(Serialize)]
@@ -32,7 +31,7 @@ struct BogusResult {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("bogus");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     let n_train = (cfg.dataset.n_samples * 2).max(400);
     let n_test = (n_train / 4).max(100);
     progress!("# Bogus rejection extension ({n_train} train / {n_test} test candidates)");

@@ -17,7 +17,6 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::joint::JointModel;
 use snia_core::train::{joint_examples, train_joint, ClassifierTrainConfig};
-use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
 use snia_nn::init;
 use snia_nn::layers::{Conv2d, ConvBackend, Padding};
@@ -107,7 +106,7 @@ fn time_joint_training(ds: &Dataset, threads: usize, seed: u64) -> f64 {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("conv_bench");
-    let mut cfg = ExperimentConfig::from_env();
+    let mut cfg = snia_bench::experiment_config();
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(16);
     progress!("# Conv backend + batch executor benchmark");
 

@@ -15,7 +15,6 @@ use snia_core::eval::{auc, roc_curve};
 use snia_core::train::{
     classifier_scores, feature_matrix, train_classifier, ClassifierTrainConfig,
 };
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
 #[derive(Serialize)]
@@ -27,7 +26,7 @@ struct EpochResult {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig10");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 10 — ROC vs. observation epochs (config: {:?})",
         cfg.dataset

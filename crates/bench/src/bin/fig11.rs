@@ -19,7 +19,6 @@ use snia_core::train::{
     feature_matrix, flux_pair_refs, joint_scores, train_classifier, train_flux_cnn, train_joint,
     ClassifierTrainConfig, FluxTrainConfig, JointExample,
 };
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
 
 #[derive(Serialize)]
@@ -53,7 +52,7 @@ fn all_epochs(idx: &[usize]) -> Vec<JointExample> {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig11");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Figure 11 — joint model ROC (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

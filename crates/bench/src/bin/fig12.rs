@@ -13,11 +13,11 @@ use snia_core::classifier::LightCurveClassifier;
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::joint::JointModel;
 use snia_core::resilience::Resilience;
+use snia_core::resume_from_env_args;
 use snia_core::train::{
     feature_matrix, flux_pair_refs, train_classifier_resilient, train_flux_cnn_resilient,
     train_joint_resilient, ClassifierTrainConfig, FluxTrainConfig, JointExample, TrainRecord,
 };
-use snia_core::{resume_from_env_args, ExperimentConfig};
 use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
 
 #[derive(Serialize)]
@@ -51,7 +51,7 @@ fn one_per_sample(idx: &[usize]) -> Vec<JointExample> {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig12");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 12 — fine-tuning vs. from scratch (config: {:?})",
         cfg.dataset

@@ -8,7 +8,6 @@
 use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
-use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
 use snia_skysim::catalog::{FIELD_DEC_DEG, FIELD_RA_DEG, PHOTO_Z_RANGE};
 
@@ -35,7 +34,7 @@ fn occupancy(points: &[(f64, f64)], grid: usize) -> f64 {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig3");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 3 — host galaxy coverage (config: {:?})",
         cfg.dataset

@@ -5,7 +5,6 @@
 use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
-use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
 
 #[derive(Serialize)]
@@ -35,7 +34,7 @@ fn median(values: &mut [f64]) -> f64 {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig4");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 4 — SN offsets from hosts (config: {:?})",
         cfg.dataset

@@ -6,7 +6,6 @@
 use std::fs;
 
 use snia_bench::progress;
-use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
 use snia_lightcurve::Band;
 
@@ -62,7 +61,7 @@ fn dump_triplet(ds: &Dataset, sample_idx: usize, tag: &str, dir: &std::path::Pat
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig5");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Figure 5 — example stamps (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
 

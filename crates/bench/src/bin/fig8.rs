@@ -12,7 +12,6 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, FluxTrainConfig};
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
 #[derive(Serialize)]
@@ -33,7 +32,7 @@ struct BinStat {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig8");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 8 — true vs. estimated magnitudes (config: {:?})",
         cfg.dataset

@@ -12,10 +12,10 @@ use snia_bench::{progress, write_json, Table};
 use snia_core::classifier::LightCurveClassifier;
 use snia_core::eval::{auc, roc_curve};
 use snia_core::resilience::Resilience;
+use snia_core::resume_from_env_args;
 use snia_core::train::{
     classifier_scores, feature_matrix, train_classifier_resilient, ClassifierTrainConfig,
 };
-use snia_core::{resume_from_env_args, ExperimentConfig};
 use snia_dataset::{split_indices, Dataset};
 
 #[derive(Serialize)]
@@ -27,7 +27,7 @@ struct WidthResult {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("fig9");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!(
         "# Figure 9 — ROC vs. hidden units (config: {:?})",
         cfg.dataset

@@ -21,7 +21,6 @@ use snia_core::classifier::LightCurveClassifier;
 use snia_core::train::{
     classifier_scores, feature_matrix, train_classifier, ClassifierTrainConfig,
 };
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
 #[derive(Serialize)]
@@ -41,7 +40,7 @@ fn purity_at(scores: &[f64], labels: &[bool], k: usize) -> (usize, f64) {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("followup");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Follow-up selection (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

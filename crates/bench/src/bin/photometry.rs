@@ -19,7 +19,6 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, FluxTrainConfig};
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 use snia_lightcurve::flux_to_mag;
 use snia_skysim::photometry::{aperture_flux, brightest_pixel, centroid, psf_flux};
@@ -42,7 +41,7 @@ fn error_stats(pairs: &[(f64, f64)]) -> (f64, f64) {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("photometry");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Photometry comparison (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

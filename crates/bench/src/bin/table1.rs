@@ -12,7 +12,6 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::train::{flux_loss, flux_pair_refs, train_flux_cnn, FluxTrainConfig};
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
 /// Normalised-target MSE → mag² (target = (mag − 24)/4 so mag² = 16×).
@@ -36,7 +35,7 @@ fn mean_std(v: &[f64]) -> (f64, f64) {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("table1");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Table 1 — loss vs. crop size (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -28,7 +28,6 @@ use snia_core::eval::auc;
 use snia_core::train::{
     classifier_scores, feature_matrix, train_classifier, ClassifierTrainConfig,
 };
-use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
 
 #[derive(Serialize)]
@@ -45,7 +44,7 @@ fn labels_of(ds: &Dataset, idx: &[usize]) -> Vec<bool> {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("table2");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = snia_bench::experiment_config();
     progress!("# Table 2 — method comparison (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

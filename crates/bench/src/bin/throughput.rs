@@ -17,7 +17,7 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::joint::JointModel;
 use snia_core::train::{feature_matrix, joint_batch, joint_examples, joint_scores};
-use snia_core::{ExperimentConfig, LightCurveClassifier};
+use snia_core::LightCurveClassifier;
 use snia_dataset::Dataset;
 use snia_serve::{Engine, EngineConfig, ModelBundle, Request, RequestInput, ServedModel};
 
@@ -217,7 +217,7 @@ fn bench_serve(ds: &Dataset, seed: u64) -> ServeBenchResult {
 
 fn main() {
     let _telemetry = snia_bench::init_telemetry("throughput");
-    let mut cfg = ExperimentConfig::from_env();
+    let mut cfg = snia_bench::experiment_config();
     // Throughput needs only a handful of samples.
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(64);
     progress!("# Inference throughput (single core, crop 60)");

@@ -40,3 +40,12 @@ pub mod telemetry_setup;
 pub use plot::{Chart, Series};
 pub use report::{results_dir, write_json, Table};
 pub use telemetry_setup::{init_telemetry, TelemetryGuard};
+
+/// The [`snia_core::ExperimentConfig`] from the environment and CLI flags;
+/// a malformed value (e.g. `--threads foo`) is printed and exits with 2.
+pub fn experiment_config() -> snia_core::ExperimentConfig {
+    snia_core::ExperimentConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}

@@ -106,21 +106,18 @@ impl LightCurveClassifier {
     }
 }
 
-impl crate::parallel::Replica for LightCurveClassifier {
+impl crate::model::Model for LightCurveClassifier {
     fn replicate(&self) -> Self {
-        // The RNG only seeds throwaway initial weights; the executor
-        // overwrites every parameter value before each step.
+        // The RNG only seeds throwaway initial weights; the executor (before
+        // each step) and `exact_copy` (via `restore`) overwrite them all.
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         LightCurveClassifier::new(self.input_dim / 10, self.hidden, &mut rng)
     }
-    fn params(&self) -> Vec<&Param> {
-        LightCurveClassifier::params(self)
+    fn networks(&self) -> Vec<&Sequential> {
+        vec![&self.net]
     }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        LightCurveClassifier::params_mut(self)
-    }
-    fn zero_grad(&mut self) {
-        LightCurveClassifier::zero_grad(self);
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        vec![&mut self.net]
     }
 }
 

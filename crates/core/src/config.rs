@@ -9,10 +9,13 @@
 //! * `SNIA_SEED=<u64>` — master seed (default 20170101);
 //! * `SNIA_THREADS=<usize>` — data-parallel training threads (default 1);
 //!   the `--threads N` CLI flag (see [`threads_from_args`]) wins over the
-//!   environment.
+//!   environment. A value that is not a positive integer is a
+//!   [`ConfigError`], never a silent fallback.
 //! * `SNIA_RENDER_CACHE=<dir>` — stamp render cache directory (see
 //!   [`snia_dataset::cache`]); the `--render-cache <dir>` CLI flag (see
 //!   [`render_cache_from_args`]) wins over the environment.
+
+use std::path::PathBuf;
 
 use snia_dataset::DatasetConfig;
 
@@ -32,8 +35,9 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Reads the configuration from the environment and the process's CLI
-    /// arguments (see module docs).
-    pub fn from_env() -> Self {
+    /// arguments (see module docs); a malformed thread count or a
+    /// non-positive scale is a [`ConfigError`].
+    pub fn from_env() -> Result<Self, ConfigError> {
         let seed = std::env::var("SNIA_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -45,14 +49,10 @@ impl ExperimentConfig {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(1.0);
-        let mut cfg = Self::build(full, scale, seed);
-        cfg.threads = threads_from_args(std::env::args().skip(1)).unwrap_or_else(|| {
-            std::env::var("SNIA_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1)
-        });
-        cfg
+        let mut cfg = Self::try_build(full, scale, seed)?;
+        let env = std::env::var("SNIA_THREADS").ok();
+        cfg.threads = threads_from(std::env::args().skip(1), env.as_deref())?;
+        Ok(cfg)
     }
 
     /// Builds a configuration explicitly (used by tests; `from_env` is the
@@ -104,59 +104,74 @@ impl ExperimentConfig {
 pub enum ConfigError {
     /// The scale multiplier must be finite and strictly positive.
     InvalidScale(f64),
+    /// A thread count that is not a positive integer.
+    InvalidThreads {
+        /// Where it came from (`--threads` or `SNIA_THREADS`).
+        source: &'static str,
+        /// The value as given (empty for a trailing `--threads`).
+        value: String,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::InvalidScale(s) => write!(f, "invalid scale {s}"),
+            ConfigError::InvalidThreads { source, value } => write!(
+                f,
+                "invalid {source} value {value:?}: expected a positive integer"
+            ),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Parses `--resume <dir>` / `--resume=<dir>` from an argument stream;
-/// `None` when absent or malformed.
-pub fn resume_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<std::path::PathBuf> {
+/// The value of the first `<flag> V` / `<flag>=V` in `args`: `None` when
+/// the flag is absent, an empty string when it has no value.
+fn flag_value<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<String> {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        if arg == "--resume" {
-            return iter.next().filter(|v| !v.is_empty()).map(Into::into);
-        }
-        if let Some(v) = arg.strip_prefix("--resume=") {
-            return (!v.is_empty()).then(|| v.into());
+        match arg.strip_prefix(flag) {
+            Some("") => return Some(iter.next().unwrap_or_default()),
+            Some(v) if v.starts_with('=') => return Some(v[1..].to_string()),
+            _ => {}
         }
     }
     None
+}
+
+/// A non-empty `<flag> <dir>` / `<flag>=<dir>` in `args`.
+fn dir_flag<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<PathBuf> {
+    flag_value(args, flag)
+        .filter(|v| !v.is_empty())
+        .map(Into::into)
+}
+
+/// A non-empty environment variable, as a path.
+fn env_dir(var: &str) -> Option<PathBuf> {
+    std::env::var(var)
+        .ok()
+        .filter(|v| !v.is_empty())
+        .map(Into::into)
+}
+
+/// Parses `--resume <dir>` / `--resume=<dir>` from an argument stream;
+/// `None` when absent or malformed.
+pub fn resume_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf> {
+    dir_flag(args, "--resume")
 }
 
 /// Resolves the checkpoint directory from CLI arguments (`--resume <dir>`,
 /// which wins) or the `SNIA_RESUME` environment variable.
-pub fn resume_from_env_args() -> Option<std::path::PathBuf> {
-    resume_from_args(std::env::args().skip(1)).or_else(|| {
-        std::env::var("SNIA_RESUME")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(Into::into)
-    })
+pub fn resume_from_env_args() -> Option<PathBuf> {
+    resume_from_args(std::env::args().skip(1)).or_else(|| env_dir("SNIA_RESUME"))
 }
 
 /// Parses `--render-cache <dir>` / `--render-cache=<dir>` from an
 /// argument stream; `None` when absent or malformed.
-pub fn render_cache_from_args<I: IntoIterator<Item = String>>(
-    args: I,
-) -> Option<std::path::PathBuf> {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--render-cache" {
-            return iter.next().filter(|v| !v.is_empty()).map(Into::into);
-        }
-        if let Some(v) = arg.strip_prefix("--render-cache=") {
-            return (!v.is_empty()).then(|| v.into());
-        }
-    }
-    None
+pub fn render_cache_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf> {
+    dir_flag(args, "--render-cache")
 }
 
 /// Resolves the render-cache directory from CLI arguments
@@ -165,13 +180,9 @@ pub fn render_cache_from_args<I: IntoIterator<Item = String>>(
 /// [`snia_dataset::cache`] when one is present. Returns the directory in
 /// use, `None` when the cache stays disabled or the directory cannot be
 /// created (caching is an optimisation, never a hard failure).
-pub fn render_cache_from_env_args() -> Option<std::path::PathBuf> {
-    let dir = render_cache_from_args(std::env::args().skip(1)).or_else(|| {
-        std::env::var("SNIA_RENDER_CACHE")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(Into::into)
-    })?;
+pub fn render_cache_from_env_args() -> Option<PathBuf> {
+    let dir = render_cache_from_args(std::env::args().skip(1))
+        .or_else(|| env_dir("SNIA_RENDER_CACHE"))?;
     match snia_dataset::cache::configure(Some(&dir)) {
         Ok(()) => Some(dir),
         Err(e) => {
@@ -182,18 +193,37 @@ pub fn render_cache_from_env_args() -> Option<std::path::PathBuf> {
 }
 
 /// Parses `--threads N` / `--threads=N` from an argument stream; `None`
-/// when absent or malformed.
-pub fn threads_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            return iter.next().and_then(|v| v.parse().ok()).filter(|&t| t > 0);
-        }
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            return v.parse().ok().filter(|&t| t > 0);
-        }
+/// when absent, [`ConfigError::InvalidThreads`] when the value is missing
+/// or not a positive integer.
+pub fn threads_from_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Option<usize>, ConfigError> {
+    flag_value(args, "--threads")
+        .map(|v| parse_threads("--threads", &v))
+        .transpose()
+}
+
+/// The thread count from CLI arguments (which win) or the `SNIA_THREADS`
+/// value `env` (unset or empty means 1).
+fn threads_from<I: IntoIterator<Item = String>>(
+    args: I,
+    env: Option<&str>,
+) -> Result<usize, ConfigError> {
+    match (threads_from_args(args)?, env) {
+        (Some(t), _) => Ok(t),
+        (None, Some(v)) if !v.is_empty() => parse_threads("SNIA_THREADS", v),
+        (None, _) => Ok(1),
     }
-    None
+}
+
+fn parse_threads(source: &'static str, value: &str) -> Result<usize, ConfigError> {
+    match value.parse() {
+        Ok(t) if t > 0 => Ok(t),
+        _ => Err(ConfigError::InvalidThreads {
+            source,
+            value: value.to_string(),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -252,16 +282,61 @@ mod tests {
 
     #[test]
     fn threads_flag_forms() {
-        assert_eq!(threads_from_args(args(&["--threads", "4"])), Some(4));
-        assert_eq!(threads_from_args(args(&["--threads=2"])), Some(2));
+        assert_eq!(threads_from_args(args(&["--threads", "4"])), Ok(Some(4)));
+        assert_eq!(threads_from_args(args(&["--threads=2"])), Ok(Some(2)));
         assert_eq!(
             threads_from_args(args(&["--metrics-out", "m.jsonl", "--threads", "8"])),
-            Some(8)
+            Ok(Some(8))
         );
-        assert_eq!(threads_from_args(args(&[])), None);
-        assert_eq!(threads_from_args(args(&["--threads"])), None);
-        assert_eq!(threads_from_args(args(&["--threads", "zero"])), None);
-        assert_eq!(threads_from_args(args(&["--threads", "0"])), None);
+        assert_eq!(threads_from_args(args(&[])), Ok(None));
+        let bad: [&[&str]; 7] = [
+            &["--threads"],
+            &["--threads", "zero"],
+            &["--threads", "0"],
+            &["--threads", "foo"],
+            &["--threads=0"],
+            &["--threads=foo"],
+            &["--threads="],
+        ];
+        for flags in bad {
+            assert!(
+                matches!(
+                    threads_from_args(args(flags)),
+                    Err(ConfigError::InvalidThreads {
+                        source: "--threads",
+                        ..
+                    })
+                ),
+                "{flags:?} must be rejected"
+            );
+        }
+        assert_eq!(
+            threads_from_args(args(&["--threads"])),
+            Err(ConfigError::InvalidThreads {
+                source: "--threads",
+                value: String::new(),
+            })
+        );
+    }
+
+    #[test]
+    fn threads_env_fallback_is_checked() {
+        assert_eq!(threads_from(args(&[]), None), Ok(1));
+        assert_eq!(threads_from(args(&[]), Some("")), Ok(1));
+        assert_eq!(threads_from(args(&[]), Some("3")), Ok(3));
+        assert_eq!(threads_from(args(&["--threads", "2"]), Some("3")), Ok(2));
+        // The flag wins, but only a valid flag: a bad one is an error, not
+        // a fallback to the environment.
+        assert!(threads_from(args(&["--threads=x"]), Some("3")).is_err());
+        for v in ["abc", "0", "-1", "2.5"] {
+            assert_eq!(
+                threads_from(args(&[]), Some(v)),
+                Err(ConfigError::InvalidThreads {
+                    source: "SNIA_THREADS",
+                    value: v.to_string(),
+                })
+            );
+        }
     }
 
     #[test]

@@ -132,21 +132,18 @@ impl FluxCnn {
     }
 }
 
-impl crate::parallel::Replica for FluxCnn {
+impl crate::model::Model for FluxCnn {
     fn replicate(&self) -> Self {
-        // The RNG only seeds throwaway initial weights; the executor
-        // overwrites every parameter value before each step.
+        // The RNG only seeds throwaway initial weights; the executor (before
+        // each step) and `exact_copy` (via `restore`) overwrite them all.
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         FluxCnn::new(self.crop, self.pool, &mut rng)
     }
-    fn params(&self) -> Vec<&Param> {
-        FluxCnn::params(self)
+    fn networks(&self) -> Vec<&Sequential> {
+        vec![&self.net]
     }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        FluxCnn::params_mut(self)
-    }
-    fn zero_grad(&mut self) {
-        FluxCnn::zero_grad(self);
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        vec![&mut self.net]
     }
 }
 

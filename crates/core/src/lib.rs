@@ -33,6 +33,7 @@ pub mod eval;
 pub mod flux_cnn;
 pub mod input;
 pub mod joint;
+pub mod model;
 pub mod parallel;
 pub mod resilience;
 pub mod train;
@@ -46,8 +47,7 @@ pub use eval::{auc, roc_curve, RocPoint};
 pub use flux_cnn::FluxCnn;
 pub use input::{mag_to_target, pair_to_input, target_to_mag};
 pub use joint::JointModel;
+pub use model::Model;
 pub use parallel::{BatchExecutor, Replica};
-pub use resilience::{
-    CheckpointDir, CheckpointError, Checkpointable, FaultPlan, Resilience, TrainState,
-};
+pub use resilience::{CheckpointDir, CheckpointError, FaultPlan, Resilience, TrainState};
 pub use train::TrainError;

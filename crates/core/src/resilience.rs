@@ -1,9 +1,9 @@
-//! Crash safety and self-healing for the training loops.
+//! Crash safety and self-healing for the training driver.
 //!
 //! Long training runs die for boring reasons — pre-emption, OOM kills,
 //! power loss — and occasionally for interesting ones (a diverging loss,
-//! a panicking worker thread). This module makes all three training loops
-//! in [`crate::train`] restartable and self-correcting:
+//! a panicking worker thread). This module makes the one training loop in
+//! [`crate::train`] restartable and self-correcting for every model:
 //!
 //! * **Full-state checkpointing.** A [`TrainState`] carries everything a
 //!   bit-identical resume needs: model weights *and* non-learnable buffers
@@ -31,12 +31,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use snia_nn::optim::{Adam, AdamState, OptimError};
-use snia_nn::serialize::{self, write_atomic, Checkpoint, LoadError};
+use snia_nn::serialize::{write_atomic, Checkpoint, LoadError};
 use snia_nn::StateError;
 
-use crate::classifier::LightCurveClassifier;
-use crate::flux_cnn::FluxCnn;
-use crate::joint::JointModel;
+use crate::model::Model;
 use crate::train::TrainRecord;
 
 /// On-disk checkpoint format version (the `v1` in the header line).
@@ -97,7 +95,8 @@ pub fn decode_framed<'a>(
 // ---------------------------------------------------------------------------
 
 /// A model's complete restorable state: learnable weights plus the
-/// non-learnable per-layer buffers (see [`snia_nn::Layer::extra_state`]).
+/// non-learnable per-layer buffers (see [`snia_nn::Layer::extra_state`]),
+/// laid out by [`Model::capture`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelState {
     /// Learnable parameters in parameter order.
@@ -696,105 +695,8 @@ impl Resilience {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpointable models
-// ---------------------------------------------------------------------------
-
-/// A model whose complete state can be captured into a [`ModelState`] and
-/// restored from one.
-pub trait Checkpointable {
-    /// Captures weights and non-learnable buffers.
-    fn capture(&self) -> ModelState;
-
-    /// Restores a previously captured state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Model`] or [`CheckpointError::State`]
-    /// when the state does not fit this model.
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError>;
-}
-
-impl Checkpointable for FluxCnn {
-    fn capture(&self) -> ModelState {
-        ModelState {
-            weights: serialize::snapshot(self.network()),
-            extra: self.network().extra_states(),
-        }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        serialize::restore(self.network_mut(), &state.weights)?;
-        self.network_mut().load_extra_states(&state.extra)?;
-        Ok(())
-    }
-}
-
-impl Checkpointable for LightCurveClassifier {
-    fn capture(&self) -> ModelState {
-        ModelState {
-            weights: serialize::snapshot(self.network()),
-            extra: self.network().extra_states(),
-        }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        serialize::restore(self.network_mut(), &state.weights)?;
-        self.network_mut().load_extra_states(&state.extra)?;
-        Ok(())
-    }
-}
-
-impl Checkpointable for JointModel {
-    fn capture(&self) -> ModelState {
-        let mut weights = serialize::snapshot(self.cnn().network());
-        weights
-            .tensors
-            .extend(serialize::snapshot(self.classifier().network()).tensors);
-        let mut extra = self.cnn().network().extra_states();
-        extra.extend(self.classifier().network().extra_states());
-        ModelState { weights, extra }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        // The joint state is the CNN's tensors followed by the
-        // classifier's; split by the CNN's parameter and layer counts.
-        let n_params = self.cnn().network().params().len();
-        let n_layers = self.cnn().network().len();
-        let total_params = n_params + self.classifier().network().params().len();
-        let total_layers = n_layers + self.classifier().network().len();
-        if state.weights.tensors.len() != total_params {
-            return Err(CheckpointError::Model(LoadError::CountMismatch {
-                expected: total_params,
-                found: state.weights.tensors.len(),
-            }));
-        }
-        if state.extra.len() != total_layers {
-            return Err(CheckpointError::State(StateError::LayerCount {
-                expected: total_layers,
-                found: state.extra.len(),
-            }));
-        }
-        let cnn_ckpt = Checkpoint {
-            tensors: state.weights.tensors[..n_params].to_vec(),
-        };
-        let cls_ckpt = Checkpoint {
-            tensors: state.weights.tensors[n_params..].to_vec(),
-        };
-        serialize::restore(self.cnn_mut().network_mut(), &cnn_ckpt)?;
-        serialize::restore(self.classifier_mut().network_mut(), &cls_ckpt)?;
-        self.cnn_mut()
-            .network_mut()
-            .load_extra_states(&state.extra[..n_layers])?;
-        self.classifier_mut()
-            .network_mut()
-            .load_extra_states(&state.extra[n_layers..])?;
-        Ok(())
-    }
-}
-
 /// Captures a full [`TrainState`] from the live training objects.
-pub fn capture_state<M: Checkpointable>(
+pub fn capture_state<M: Model>(
     model: &M,
     opt: &Adam,
     rng: &StdRng,
@@ -819,7 +721,7 @@ pub fn capture_state<M: Checkpointable>(
 ///
 /// Returns a [`CheckpointError`] when the state does not fit the model or
 /// carries invalid optimizer hyper-parameters.
-pub fn restore_state<M: Checkpointable>(
+pub fn restore_state<M: Model>(
     state: &TrainState,
     model: &mut M,
     opt: &mut Adam,
@@ -869,13 +771,7 @@ impl<'a> Guardian<'a> {
         }
     }
 
-    /// The fault plan, for injection sites inside shard closures.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.res.faults
-    }
-
-    /// Whether per-step watchdog checks are active (lets loops skip
-    /// gradient-norm computation otherwise).
+    /// Whether the divergence watchdog is on.
     pub fn watchdog_active(&self) -> bool {
         self.watchdog.is_some()
     }
@@ -888,7 +784,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when a checkpoint exists but cannot
     /// be decoded or does not fit the model.
-    pub fn begin<M: Checkpointable>(
+    pub fn begin<M: Model>(
         &mut self,
         model: &mut M,
         opt: &mut Adam,
@@ -914,34 +810,30 @@ impl<'a> Guardian<'a> {
         Ok(start)
     }
 
-    /// Screens one mini-batch loss, applying any `nan_loss` fault first.
+    /// Screens one mini-batch: its loss (after applying any `nan_loss`
+    /// fault), then its gradient norm, which `grad_norm` computes only
+    /// when the watchdog is on and the loss passed.
     ///
     /// # Errors
     ///
     /// Returns the [`Divergence`] the watchdog detected; the caller should
     /// roll back via [`Guardian::rollback`].
-    pub fn check_loss(&mut self, step: u64, loss: f64) -> Result<(), Divergence> {
+    pub fn screen(
+        &mut self,
+        step: u64,
+        loss: f64,
+        grad_norm: impl FnOnce() -> f64,
+    ) -> Result<(), Divergence> {
         let loss = if self.res.faults.fire_nan_loss(step) {
             f64::NAN
         } else {
             loss
         };
-        match &mut self.watchdog {
-            Some(wd) => wd.check_loss(step, loss),
-            None => Ok(()),
-        }
-    }
-
-    /// Screens one accumulated gradient norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Divergence`] the watchdog detected.
-    pub fn check_grad_norm(&self, step: u64, norm: f64) -> Result<(), Divergence> {
-        match &self.watchdog {
-            Some(wd) => wd.check_grad_norm(step, norm),
-            None => Ok(()),
-        }
+        let Some(wd) = &mut self.watchdog else {
+            return Ok(());
+        };
+        wd.check_loss(step, loss)?;
+        wd.check_grad_norm(step, grad_norm())
     }
 
     /// Rolls the run back to the last good state with a halved learning
@@ -952,7 +844,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when the rollback state cannot be
     /// applied or re-persisted.
-    pub fn rollback<M: Checkpointable>(
+    pub fn rollback<M: Model>(
         &mut self,
         model: &mut M,
         opt: &mut Adam,
@@ -995,7 +887,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when the checkpoint cannot be
     /// written.
-    pub fn epoch_end<M: Checkpointable>(
+    pub fn epoch_end<M: Model>(
         &mut self,
         model: &M,
         opt: &Adam,

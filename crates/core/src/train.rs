@@ -1,9 +1,8 @@
-//! Training loops for the three models.
-//!
-//! All loops are deterministic given their seed, stream-render their
-//! batches from [`SampleSpec`]s (images are never cached across epochs, so
-//! memory stays flat even at paper scale) and record per-epoch train/val
-//! curves for the Figure 12 experiment.
+//! Training for the three models: one minibatch-Adam driver (`fit`) and a
+//! `Task` per model. Training is deterministic given its seed,
+//! stream-renders its batches from [`SampleSpec`]s (images are never
+//! cached across epochs, so memory stays flat even at paper scale) and
+//! records per-epoch train/val curves for the Figure 12 experiment.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -20,7 +19,8 @@ use crate::classifier::LightCurveClassifier;
 use crate::flux_cnn::FluxCnn;
 use crate::input::{mag_to_target, target_to_mag};
 use crate::joint::JointModel;
-use crate::parallel::{BatchExecutor, ShardStats};
+use crate::model::Model;
+use crate::parallel::{BatchExecutor, Replica, ShardStats};
 use crate::resilience::{CheckpointError, Divergence, Guardian, Resilience};
 
 /// One epoch of a training history.
@@ -108,6 +108,154 @@ fn grad_norm(params: &[&Param]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
+// The training driver
+// ---------------------------------------------------------------------------
+
+/// What one model's training contributes to [`fit`].
+trait Task: Sync {
+    /// The model being trained.
+    type Model: Model;
+    /// Model name in the `fit` span and in [`TrainError::Diverged`].
+    const NAME: &'static str;
+
+    /// Number of training examples.
+    fn examples(&self) -> usize;
+
+    /// Per-example random draws for a batch of `n`, taken on the main RNG
+    /// after the epoch's shuffle so the stream is the same at every thread
+    /// count (the flux CNN's D4 codes; none by default).
+    fn draw(&self, _n: usize, _rng: &mut StdRng) -> Vec<u8> {
+        Vec::new()
+    }
+
+    /// Forward, loss and backward of the training examples `idx` with their
+    /// draws `codes`, the loss gradient multiplied by `scale`.
+    fn shard_loss(
+        &self,
+        m: &mut Self::Model,
+        idx: &[usize],
+        codes: &[u8],
+        scale: f32,
+    ) -> ShardStats;
+
+    /// Fills the validation fields of an epoch's record. The driver has
+    /// set `train_acc` to the mean batch accuracy; a task may replace it.
+    fn validate(&self, m: &mut Self::Model, rec: &mut TrainRecord);
+}
+
+/// The one training loop: minibatch Adam over `task` under the policy
+/// `res` (checkpoint/resume, divergence rollback, fault injection).
+/// `sched` is the schedule all tasks share (for the flux CNN, copied out
+/// of its [`FluxTrainConfig`]). With [`Resilience::disabled`] the RNG
+/// stream is the plain loop's.
+fn fit<T: Task>(
+    task: &T,
+    model: &mut T::Model,
+    sched: &ClassifierTrainConfig,
+    res: &Resilience,
+) -> Result<Vec<TrainRecord>, TrainError> {
+    if sched.epochs == 0 {
+        return Ok(Vec::new());
+    }
+    let _fit = snia_telemetry::span!("fit", model = T::NAME, epochs = sched.epochs);
+    let mut rng = StdRng::seed_from_u64(sched.seed);
+    let mut opt = Adam::new(sched.lr);
+    let mut exec = BatchExecutor::new(&*model, sched.threads);
+    let mut order: Vec<usize> = (0..task.examples()).collect();
+    let mut history = Vec::with_capacity(sched.epochs);
+    let mut guard = Guardian::new(res);
+    let start = guard.begin(model, &mut opt, &mut rng, &mut history)?;
+    let mut epoch = start.epoch;
+    let mut step = start.step;
+    'epochs: while epoch < sched.epochs {
+        guard.maybe_kill(epoch);
+        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
+        let epoch_start = std::time::Instant::now();
+        // Reset to identity before shuffling: the epoch's permutation must
+        // be a pure function of the RNG stream position (which checkpoints
+        // capture) — a cumulative in-place shuffle would not survive resume.
+        for (i, o) in order.iter_mut().enumerate() {
+            *o = i;
+        }
+        order.shuffle(&mut rng);
+        let (mut loss_sum, mut acc_sum, mut batches) = (0.0f64, 0.0f64, 0usize);
+        for chunk in order.chunks(sched.batch_size) {
+            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
+            let codes = task.draw(chunk.len(), &mut rng);
+            let faults = &res.faults;
+            let stats = exec.step(model, chunk.len(), |m, range, scale| {
+                if range.start != 0 && faults.fire_panic_worker(epoch) {
+                    panic!("SNIA_FAULT: injected worker panic");
+                }
+                let shard_codes = codes.get(range.clone()).unwrap_or_default();
+                task.shard_loss(m, &chunk[range], shard_codes, scale)
+            });
+            step += 1;
+            let screened = guard.screen(step, stats.loss, || grad_norm(&model.params()));
+            if let Err(reason) = screened {
+                let Some(point) = guard.rollback(model, &mut opt, &mut rng, &mut history)? else {
+                    return Err(TrainError::Diverged {
+                        model: T::NAME,
+                        epoch,
+                        reason,
+                    });
+                };
+                epoch = point.epoch;
+                step = point.step;
+                continue 'epochs;
+            }
+            opt.step(&mut model.params_mut());
+            loss_sum += stats.loss;
+            acc_sum += stats.correct as f64 / stats.samples as f64;
+            batches += 1;
+        }
+        if snia_telemetry::enabled() {
+            snia_telemetry::counter_add("train.batches_total", batches as u64);
+            // Latest epoch as a gauge, the distribution over epochs as a
+            // histogram.
+            let rate = order.len() as f64 / epoch_start.elapsed().as_secs_f64();
+            if rate.is_finite() {
+                snia_telemetry::gauge_set("train.samples_per_sec", rate);
+                snia_telemetry::observe("train.samples_per_sec", rate);
+            }
+        }
+        let mut rec = TrainRecord {
+            epoch,
+            train_loss: loss_sum / batches as f64,
+            val_loss: f64::NAN,
+            train_acc: acc_sum / batches as f64,
+            val_acc: f64::NAN,
+        };
+        task.validate(model, &mut rec);
+        snia_telemetry::record("train_epoch", &rec);
+        history.push(rec);
+        guard.epoch_end(model, &opt, &rng, epoch, step, &history)?;
+        epoch += 1;
+    }
+    Ok(history)
+}
+
+/// A loss gradient multiplied by a shard's `scale` (untouched at 1).
+fn scaled(grad: Tensor, scale: f32) -> Tensor {
+    if scale != 1.0 {
+        &grad * scale
+    } else {
+        grad
+    }
+}
+
+/// How many 0.5-threshold predictions of `logits` match their 0/1
+/// `targets`.
+fn correct_count(logits: &Tensor, targets: &Tensor) -> usize {
+    sigmoid_probs(logits)
+        .data()
+        .iter()
+        .zip(targets.data())
+        .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
+        .count()
+}
+
+// ---------------------------------------------------------------------------
 // Flux CNN
 // ---------------------------------------------------------------------------
 
@@ -135,21 +283,6 @@ pub struct FluxTrainConfig {
     /// Data-parallel worker threads per minibatch (1 = sequential; see
     /// [`crate::parallel::BatchExecutor`]).
     pub threads: usize,
-}
-
-impl Default for FluxTrainConfig {
-    fn default() -> Self {
-        FluxTrainConfig {
-            crop: 60,
-            epochs: 2,
-            batch_size: 16,
-            lr: 1e-3,
-            pairs_per_sample: 4,
-            augment: true,
-            seed: 7,
-            threads: 1,
-        }
-    }
 }
 
 /// `(sample index, observation index)` references into a dataset — the
@@ -226,10 +359,8 @@ pub fn train_flux_cnn(
     val_refs: &[(usize, usize)],
     cfg: &FluxTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_flux_cnn_resilient(cnn, ds, train_refs, val_refs, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_flux_cnn_resilient(cnn, ds, train_refs, val_refs, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`train_flux_cnn`] under a [`Resilience`] policy: checkpoint/resume,
@@ -253,125 +384,62 @@ pub fn train_flux_cnn_resilient(
     if train_refs.is_empty() || val_refs.is_empty() {
         return Err(TrainError::EmptySplit { what: "flux pairs" });
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
-    }
-    let _fit = snia_telemetry::span!("fit", model = "flux_cnn", epochs = cfg.epochs);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*cnn, cfg.threads);
-    let mut order: Vec<usize> = (0..train_refs.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(cnn, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
-        }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let refs: Vec<(usize, usize)> = chunk.iter().map(|&i| train_refs[i]).collect();
-            // Augmentation codes are drawn on the main RNG before sharding,
-            // so the stream is identical for every thread count.
-            let codes: Vec<u8> = if cfg.augment {
-                (0..refs.len()).map(|_| rng.gen_range(0..8)).collect()
-            } else {
-                Vec::new()
-            };
-            let faults = &res.faults;
-            let stats = exec.step(cnn, refs.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let shard = &refs[range.clone()];
-                let (mut x, t) = render_flux_batch(ds, shard, cfg.crop);
-                if cfg.augment {
-                    let px = cfg.crop * cfg.crop;
-                    for (i, &code) in codes[range].iter().enumerate() {
-                        crate::input::d4_transform(
-                            &mut x.data_mut()[i * px..(i + 1) * px],
-                            cfg.crop,
-                            code,
-                        );
-                    }
-                }
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&x, Mode::Train)
-                };
-                let (loss, mut grad) = mse_loss(&y, &t);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                ShardStats::regression(f64::from(loss), shard.len())
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&cnn.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(cnn, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "flux_cnn",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut cnn.params_mut());
-            loss_sum += stats.loss;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let val_loss = flux_loss(cnn, ds, val_refs, cfg.crop, cfg.batch_size);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc: f64::NAN,
-            val_acc: f64::NAN,
-        };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(cnn, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
-    }
-    Ok(history)
+    let sched = ClassifierTrainConfig {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        lr: cfg.lr,
+        seed: cfg.seed,
+        threads: cfg.threads,
+    };
+    fit(&FluxTask(ds, train_refs, val_refs, cfg), cnn, &sched, res)
 }
 
-/// Per-epoch throughput bookkeeping shared by the three training loops:
-/// the `train.samples_per_sec` gauge (latest epoch, emitted to sinks) and
-/// histogram (distribution over epochs), plus the batch counter.
-fn record_epoch_rate(samples: usize, batches: usize, epoch_start: std::time::Instant) {
-    if !snia_telemetry::enabled() {
-        return;
+/// Magnitude regression on rendered stamps: dataset, train and
+/// validation pairs, config.
+struct FluxTask<'a>(
+    &'a Dataset,
+    &'a [(usize, usize)],
+    &'a [(usize, usize)],
+    &'a FluxTrainConfig,
+);
+
+impl Task for FluxTask<'_> {
+    type Model = FluxCnn;
+    const NAME: &'static str = "flux_cnn";
+
+    fn examples(&self) -> usize {
+        self.1.len()
     }
-    snia_telemetry::counter_add("train.batches_total", batches as u64);
-    let secs = epoch_start.elapsed().as_secs_f64();
-    if secs > 0.0 {
-        let rate = samples as f64 / secs;
-        snia_telemetry::gauge_set("train.samples_per_sec", rate);
-        snia_telemetry::observe("train.samples_per_sec", rate);
+
+    fn draw(&self, n: usize, rng: &mut StdRng) -> Vec<u8> {
+        if self.3.augment {
+            (0..n).map(|_| rng.gen_range(0..8)).collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn shard_loss(&self, cnn: &mut FluxCnn, idx: &[usize], codes: &[u8], scale: f32) -> ShardStats {
+        let FluxTask(ds, train_refs, _, cfg) = *self;
+        let refs: Vec<(usize, usize)> = idx.iter().map(|&i| train_refs[i]).collect();
+        let (mut x, t) = render_flux_batch(ds, &refs, cfg.crop);
+        let px = cfg.crop * cfg.crop;
+        for (i, &code) in codes.iter().enumerate() {
+            crate::input::d4_transform(&mut x.data_mut()[i * px..(i + 1) * px], cfg.crop, code);
+        }
+        let y = {
+            let _t = snia_telemetry::timer("nn.forward_ns");
+            cnn.forward(&x, Mode::Train)
+        };
+        let (loss, grad) = mse_loss(&y, &t);
+        cnn.backward(&scaled(grad, scale));
+        ShardStats::regression(f64::from(loss), idx.len())
+    }
+
+    fn validate(&self, cnn: &mut FluxCnn, rec: &mut TrainRecord) {
+        let FluxTask(ds, _, val_refs, cfg) = *self;
+        rec.val_loss = flux_loss(cnn, ds, val_refs, cfg.crop, cfg.batch_size);
+        rec.train_acc = f64::NAN;
     }
 }
 
@@ -476,18 +544,6 @@ pub struct ClassifierTrainConfig {
     pub threads: usize,
 }
 
-impl Default for ClassifierTrainConfig {
-    fn default() -> Self {
-        ClassifierTrainConfig {
-            epochs: 30,
-            batch_size: 64,
-            lr: 3e-3,
-            seed: 13,
-            threads: 1,
-        }
-    }
-}
-
 fn rows_of(x: &Tensor, idx: &[usize]) -> Tensor {
     let d = x.shape()[1];
     let mut data = Vec::with_capacity(idx.len() * d);
@@ -509,22 +565,12 @@ pub fn train_classifier(
     val: (&Tensor, &Tensor),
     cfg: &ClassifierTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_classifier_resilient(clf, train, val, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_classifier_resilient(clf, train, val, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`train_classifier`] under a [`Resilience`] policy: checkpoint/resume,
-/// divergence rollback and fault injection. With
-/// [`Resilience::disabled`] the behaviour (and the RNG stream) is
-/// bit-identical to the plain loop.
-///
-/// # Errors
-///
-/// Returns [`TrainError::EmptySplit`] on empty inputs,
-/// [`TrainError::Checkpoint`] on checkpoint I/O or decode failures, and
-/// [`TrainError::Diverged`] when the watchdog's retry budget runs out.
+/// [`train_classifier`] under a [`Resilience`] policy, with the behaviour and
+/// errors of [`train_flux_cnn_resilient`].
 pub fn train_classifier_resilient(
     clf: &mut LightCurveClassifier,
     train: (&Tensor, &Tensor),
@@ -532,116 +578,53 @@ pub fn train_classifier_resilient(
     cfg: &ClassifierTrainConfig,
     res: &Resilience,
 ) -> Result<Vec<TrainRecord>, TrainError> {
-    let (x_train, t_train) = train;
-    let (x_val, t_val) = val;
-    if x_train.shape()[0] == 0 || x_val.shape()[0] == 0 {
+    if train.0.shape()[0] == 0 || val.0.shape()[0] == 0 {
         return Err(TrainError::EmptySplit {
             what: "classifier examples",
         });
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
+    fit(&ClassifierTask { train, val }, clf, cfg, res)
+}
+
+/// SNIa classification from light-curve feature rows: `(inputs,
+/// targets)` for training and validation.
+struct ClassifierTask<'a> {
+    train: (&'a Tensor, &'a Tensor),
+    val: (&'a Tensor, &'a Tensor),
+}
+
+impl Task for ClassifierTask<'_> {
+    type Model = LightCurveClassifier;
+    const NAME: &'static str = "classifier";
+
+    fn examples(&self) -> usize {
+        self.train.0.shape()[0]
     }
-    let _fit = snia_telemetry::span!("fit", model = "classifier", epochs = cfg.epochs);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*clf, cfg.threads);
-    let n = x_train.shape()[0];
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(clf, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
-        }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0;
-        let mut batches = 0;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let faults = &res.faults;
-            let stats = exec.step(clf, chunk.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let idx = &chunk[range];
-                let xb = rows_of(x_train, idx);
-                let tb = rows_of(t_train, idx);
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&xb, Mode::Train)
-                };
-                let (loss, mut grad) = bce_with_logits(&y, &tb);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                ShardStats::regression(f64::from(loss), idx.len())
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&clf.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(clf, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "classifier",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut clf.params_mut());
-            loss_sum += stats.loss;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let (val_loss, val_acc) = classifier_loss_acc(clf, x_val, t_val);
-        let (_, train_acc) = classifier_loss_acc(clf, x_train, t_train);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc,
-            val_acc,
+
+    fn shard_loss(&self, clf: &mut Self::Model, idx: &[usize], _: &[u8], scale: f32) -> ShardStats {
+        let xb = rows_of(self.train.0, idx);
+        let tb = rows_of(self.train.1, idx);
+        let y = {
+            let _t = snia_telemetry::timer("nn.forward_ns");
+            clf.forward(&xb, Mode::Train)
         };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(clf, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
+        let (loss, grad) = bce_with_logits(&y, &tb);
+        clf.backward(&scaled(grad, scale));
+        ShardStats::regression(f64::from(loss), idx.len())
     }
-    Ok(history)
+
+    fn validate(&self, clf: &mut LightCurveClassifier, rec: &mut TrainRecord) {
+        (rec.val_loss, rec.val_acc) = classifier_loss_acc(clf, self.val.0, self.val.1);
+        rec.train_acc = classifier_loss_acc(clf, self.train.0, self.train.1).1;
+    }
 }
 
 /// BCE loss and 0.5-threshold accuracy of the classifier on a feature set.
 pub fn classifier_loss_acc(clf: &mut LightCurveClassifier, x: &Tensor, t: &Tensor) -> (f64, f64) {
     let y = clf.forward(x, Mode::Eval);
     let (loss, _) = bce_with_logits(&y, t);
-    let probs = sigmoid_probs(&y);
-    let correct = probs
-        .data()
-        .iter()
-        .zip(t.data())
-        .filter(|(&p, &tv)| (p >= 0.5) == (tv >= 0.5))
-        .count();
-    (f64::from(loss), correct as f64 / t.len() as f64)
+    let acc = correct_count(&y, t) as f64 / t.len() as f64;
+    (f64::from(loss), acc)
 }
 
 /// Classifier probabilities on a feature matrix.
@@ -727,22 +710,12 @@ pub fn train_joint(
     val_ex: &[JointExample],
     cfg: &ClassifierTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_joint_resilient(jm, ds, train_ex, val_ex, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_joint_resilient(jm, ds, train_ex, val_ex, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`train_joint`] under a [`Resilience`] policy: checkpoint/resume,
-/// divergence rollback and fault injection. With
-/// [`Resilience::disabled`] the behaviour (and the RNG stream) is
-/// bit-identical to the plain loop.
-///
-/// # Errors
-///
-/// Returns [`TrainError::EmptySplit`] on empty inputs,
-/// [`TrainError::Checkpoint`] on checkpoint I/O or decode failures, and
-/// [`TrainError::Diverged`] when the watchdog's retry budget runs out.
+/// [`train_joint`] under a [`Resilience`] policy, with the behaviour and
+/// errors of [`train_flux_cnn_resilient`].
 pub fn train_joint_resilient(
     jm: &mut JointModel,
     ds: &Dataset,
@@ -756,107 +729,43 @@ pub fn train_joint_resilient(
             what: "joint examples",
         });
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
+    let task = JointTask(ds, train_ex, val_ex, cfg.batch_size);
+    fit(&task, jm, cfg, res)
+}
+
+/// End-to-end SNIa classification from five rendered band stamps:
+/// dataset, train and validation examples, validation batch size.
+struct JointTask<'a>(&'a Dataset, &'a [JointExample], &'a [JointExample], usize);
+
+impl Task for JointTask<'_> {
+    type Model = JointModel;
+    const NAME: &'static str = "joint";
+
+    fn examples(&self) -> usize {
+        self.1.len()
     }
-    let _fit = snia_telemetry::span!("fit", model = "joint", epochs = cfg.epochs);
-    let crop = jm.crop();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*jm, cfg.threads);
-    let mut order: Vec<usize> = (0..train_ex.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(jm, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
-        }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0;
-        let mut acc_sum = 0.0;
-        let mut batches = 0;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let exs: Vec<JointExample> = chunk.iter().map(|&i| train_ex[i]).collect();
-            let faults = &res.faults;
-            let stats = exec.step(jm, exs.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let shard = &exs[range];
-                let (images, dates, targets, _) = joint_batch(ds, shard, crop);
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&images, &dates, Mode::Train)
-                };
-                let (loss, mut grad) = bce_with_logits(&y, &targets);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                let probs = sigmoid_probs(&y);
-                let correct = probs
-                    .data()
-                    .iter()
-                    .zip(targets.data())
-                    .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
-                    .count();
-                ShardStats {
-                    loss: f64::from(loss),
-                    correct,
-                    samples: shard.len(),
-                }
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&jm.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(jm, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "joint",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut jm.params_mut());
-            loss_sum += stats.loss;
-            acc_sum += stats.correct as f64 / stats.samples as f64;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let (val_loss, val_acc) = joint_loss_acc(jm, ds, val_ex, cfg.batch_size);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc: acc_sum / batches as f64,
-            val_acc,
+
+    fn shard_loss(&self, jm: &mut JointModel, idx: &[usize], _: &[u8], scale: f32) -> ShardStats {
+        let JointTask(ds, train_ex, ..) = *self;
+        let examples: Vec<JointExample> = idx.iter().map(|&i| train_ex[i]).collect();
+        let (images, dates, targets, _) = joint_batch(ds, &examples, jm.crop());
+        let y = {
+            let _t = snia_telemetry::timer("nn.forward_ns");
+            jm.forward(&images, &dates, Mode::Train)
         };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(jm, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
+        let (loss, grad) = bce_with_logits(&y, &targets);
+        jm.backward(&scaled(grad, scale));
+        ShardStats {
+            loss: f64::from(loss),
+            correct: correct_count(&y, &targets),
+            samples: idx.len(),
+        }
     }
-    Ok(history)
+
+    fn validate(&self, jm: &mut JointModel, rec: &mut TrainRecord) {
+        let JointTask(ds, _, val_ex, batch_size) = *self;
+        (rec.val_loss, rec.val_acc) = joint_loss_acc(jm, ds, val_ex, batch_size);
+    }
 }
 
 /// BCE loss and accuracy of the joint model over examples.
@@ -875,13 +784,7 @@ pub fn joint_loss_acc(
         let y = jm.forward(&images, &dates, Mode::Eval);
         let (loss, _) = bce_with_logits(&y, &targets);
         loss_sum += f64::from(loss) * chunk.len() as f64;
-        let probs = sigmoid_probs(&y);
-        correct += probs
-            .data()
-            .iter()
-            .zip(targets.data())
-            .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
-            .count();
+        correct += correct_count(&y, &targets);
         n += chunk.len();
     }
     (loss_sum / n as f64, correct as f64 / n as f64)
@@ -905,12 +808,6 @@ pub fn joint_scores(
         labels.extend(chunk_labels);
     }
     (scores, labels)
-}
-
-/// Pre-training target check: the CNN's regression target for a flux pair
-/// (re-exported for the bench binaries' diagnostics).
-pub fn regression_target_of(pair_true_mag: f64) -> f32 {
-    mag_to_target(pair_true_mag)
 }
 
 #[cfg(test)]

@@ -106,21 +106,11 @@ impl From<serde_json::Error> for LoadError {
 
 /// Captures the current weights of a network.
 pub fn snapshot(net: &Sequential) -> Checkpoint {
-    Checkpoint {
-        tensors: net
-            .params()
-            .iter()
-            .map(|p| NamedTensor {
-                name: p.name.clone(),
-                shape: p.value.shape().to_vec(),
-                data: p.value.data().to_vec(),
-            })
-            .collect(),
-    }
+    snapshot_params(&net.params())
 }
 
-/// Captures weights from an explicit parameter list (for models that are
-/// not a single [`Sequential`], e.g. the joint model).
+/// Captures weights from an explicit parameter list (for models made of
+/// several [`Sequential`]s, e.g. the joint model).
 pub fn snapshot_params(params: &[&Param]) -> Checkpoint {
     Checkpoint {
         tensors: params

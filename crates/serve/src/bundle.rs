@@ -22,10 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use snia_core::resilience::{
-    decode_framed, encode_framed, CheckpointError, Checkpointable, ModelState,
-};
-use snia_core::{JointModel, LightCurveClassifier, Replica};
+use snia_core::model::{exact_copy, Model};
+use snia_core::resilience::{decode_framed, encode_framed, CheckpointError, ModelState};
+use snia_core::{JointModel, LightCurveClassifier};
 use snia_nn::loss::sigmoid_probs;
 use snia_nn::serialize::write_atomic;
 use snia_nn::{Mode, Tensor};
@@ -304,24 +303,12 @@ impl ServedModel {
         }
     }
 
-    /// A bit-identical copy for another worker thread: replicate the
-    /// architecture through `core::parallel`'s [`Replica`] machinery, then
-    /// restore this model's captured state (weights *and* batch-norm
-    /// running statistics) into the replica.
+    /// A bit-identical copy for another worker thread (weights *and*
+    /// batch-norm running statistics; see [`exact_copy`]).
     pub fn replica(&self) -> ServedModel {
         match self {
-            ServedModel::Classifier(c) => {
-                let mut r = c.replicate();
-                r.restore(&c.capture())
-                    .expect("replica shares the architecture");
-                ServedModel::Classifier(r)
-            }
-            ServedModel::Joint(j) => {
-                let mut r = j.replicate();
-                r.restore(&j.capture())
-                    .expect("replica shares the architecture");
-                ServedModel::Joint(r)
-            }
+            ServedModel::Classifier(c) => ServedModel::Classifier(exact_copy(c)),
+            ServedModel::Joint(j) => ServedModel::Joint(exact_copy(j)),
         }
     }
 
@@ -339,7 +326,7 @@ impl ServedModel {
         if inputs.is_empty() {
             return Vec::new();
         }
-        match self {
+        let logits = match self {
             ServedModel::Classifier(clf) => {
                 let dim = clf.input_dim();
                 let n = inputs.len();
@@ -355,13 +342,7 @@ impl ServedModel {
                         }
                     }
                 }
-                let x = Tensor::from_vec(vec![n, dim], rows);
-                let y = clf.forward(&x, Mode::Eval);
-                sigmoid_probs(&y)
-                    .data()
-                    .iter()
-                    .map(|&p| f64::from(p))
-                    .collect()
+                clf.forward(&Tensor::from_vec(vec![n, dim], rows), Mode::Eval)
             }
             ServedModel::Joint(jm) => {
                 let crop = jm.crop();
@@ -384,14 +365,14 @@ impl ServedModel {
                 }
                 let images = Tensor::from_vec(vec![5 * n, 1, crop, crop], image_data);
                 let dates = Tensor::from_vec(vec![n, 5], date_data);
-                let y = jm.forward(&images, &dates, Mode::Eval);
-                sigmoid_probs(&y)
-                    .data()
-                    .iter()
-                    .map(|&p| f64::from(p))
-                    .collect()
+                jm.forward(&images, &dates, Mode::Eval)
             }
-        }
+        };
+        sigmoid_probs(&logits)
+            .data()
+            .iter()
+            .map(|&p| f64::from(p))
+            .collect()
     }
 }
 

@@ -14,8 +14,8 @@
 //!   classifier or the end-to-end joint image model for inference.
 //! * [`engine`] — the **micro-batching engine**: requests land on a
 //!   bounded in-process queue and a worker pool (one model replica per
-//!   worker, built on `core::parallel`'s [`snia_core::parallel::Replica`]
-//!   replication) drains them in dynamic batches. A batch is flushed as
+//!   worker, an [`snia_core::model::exact_copy`] of the loaded model)
+//!   drains them in dynamic batches. A batch is flushed as
 //!   soon as `max_batch` requests are pending *or* the oldest pending
 //!   request has waited `max_wait` — so throughput comes from batching
 //!   but tail latency stays bounded. When the queue is full, submissions

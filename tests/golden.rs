@@ -1,6 +1,6 @@
 //! Golden end-to-end snapshot tests.
 //!
-//! Two pins:
+//! Five pins:
 //!
 //! 1. A fixed-seed tiny pipeline (dataset → train → eval) must reproduce
 //!    the metrics checked in at `tests/golden/pipeline.json` within
@@ -19,6 +19,14 @@
 //!    in as `flux_step_hash`. Unlike pins 2–3, which compare two runs of
 //!    one build, this one holds across commits: a kernel rewrite that
 //!    reorders a single floating-point reduction changes the hash.
+//! 5. Each of the three models (flux CNN, classifier, joint) is trained
+//!    for a tiny fixed-seed 2 epochs at `threads` 1 and 2; the FNV-1a
+//!    hash of every `TrainRecord` field and every final parameter must
+//!    equal the `train_hash_*` values checked in. Like pin 4 this holds
+//!    across commits, so a change to the training driver that moves one
+//!    RNG draw, reorders a batch or changes a loss reduction fails it. Unlike pin 4
+//!    the runs call libm (stamp rendering, sigmoid), so the values are
+//!    tied to the platform's libm as well as to the code.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -33,14 +41,14 @@ use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::train::{
     classifier_loss_acc, classifier_scores, feature_matrix, flux_pair_refs, flux_predictions,
-    joint_batch, joint_examples, train_classifier, train_flux_cnn, ClassifierTrainConfig,
-    FluxTrainConfig,
+    joint_batch, joint_examples, train_classifier, train_flux_cnn, train_joint,
+    ClassifierTrainConfig, FluxTrainConfig, TrainRecord,
 };
 use snia_repro::dataset::cache;
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::loss::{mse_loss, sigmoid_probs};
 use snia_repro::nn::optim::{Adam, Optimizer};
-use snia_repro::nn::{Mode, Tensor};
+use snia_repro::nn::{Mode, Param, Tensor};
 use snia_repro::serve::{Engine, EngineConfig, ModelBundle, Request, RequestInput};
 
 const SEED: u64 = 42;
@@ -58,6 +66,13 @@ struct GoldenPipeline {
     test_auc: f64,
     /// FNV-1a hash of [`flux_step_bits`], as 16 hex digits.
     flux_step_hash: String,
+    /// [`train_hash`] of each model's run at `threads` 1 and 2 (pin 5).
+    train_hash_flux_t1: String,
+    train_hash_flux_t2: String,
+    train_hash_classifier_t1: String,
+    train_hash_classifier_t2: String,
+    train_hash_joint_t1: String,
+    train_hash_joint_t2: String,
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -66,8 +81,11 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// The fixed-seed tiny pipeline every golden assertion runs against.
-fn run_pipeline() -> (LightCurveClassifier, Tensor, Vec<bool>, GoldenPipeline) {
+/// The fixed-seed tiny pipeline every golden assertion runs against:
+/// the trained classifier, the test features and the pipeline metrics
+/// (the `flux_step_hash` and `train_hash_*` pins are left empty; only
+/// the snapshot test computes them).
+fn run_pipeline() -> (LightCurveClassifier, Tensor, GoldenPipeline) {
     let ds = Dataset::generate(&DatasetConfig {
         n_samples: SAMPLES,
         catalog_size: (SAMPLES * 4).max(200),
@@ -101,14 +119,27 @@ fn run_pipeline() -> (LightCurveClassifier, Tensor, Vec<bool>, GoldenPipeline) {
         test_loss,
         test_acc,
         test_auc: auc(&scores, &labels),
-        flux_step_hash: flux_step_hash(),
+        flux_step_hash: String::new(),
+        train_hash_flux_t1: String::new(),
+        train_hash_flux_t2: String::new(),
+        train_hash_classifier_t1: String::new(),
+        train_hash_classifier_t2: String::new(),
+        train_hash_joint_t1: String::new(),
+        train_hash_joint_t2: String::new(),
     };
-    (clf, xe, labels, metrics)
+    (clf, xe, metrics)
 }
 
 #[test]
 fn pipeline_metrics_match_golden_snapshot() {
-    let (_, _, _, got) = run_pipeline();
+    let (_, _, mut got) = run_pipeline();
+    got.flux_step_hash = flux_step_hash();
+    got.train_hash_flux_t1 = train_hash_flux(1);
+    got.train_hash_flux_t2 = train_hash_flux(2);
+    got.train_hash_classifier_t1 = train_hash_classifier(1);
+    got.train_hash_classifier_t2 = train_hash_classifier(2);
+    got.train_hash_joint_t1 = train_hash_joint(1);
+    got.train_hash_joint_t2 = train_hash_joint(2);
     let path = golden_path("pipeline.json");
     if std::env::var("SNIA_GOLDEN_REGEN").is_ok() {
         let json = serde_json::to_string_pretty(&got).expect("serialize golden metrics");
@@ -149,6 +180,37 @@ fn pipeline_metrics_match_golden_snapshot() {
         "crop-60 flux-CNN step bits changed: a kernel no longer reproduces \
          the checked-in forward/backward/Adam results exactly"
     );
+    let pins = [
+        ("flux t1", &got.train_hash_flux_t1, &want.train_hash_flux_t1),
+        ("flux t2", &got.train_hash_flux_t2, &want.train_hash_flux_t2),
+        (
+            "classifier t1",
+            &got.train_hash_classifier_t1,
+            &want.train_hash_classifier_t1,
+        ),
+        (
+            "classifier t2",
+            &got.train_hash_classifier_t2,
+            &want.train_hash_classifier_t2,
+        ),
+        (
+            "joint t1",
+            &got.train_hash_joint_t1,
+            &want.train_hash_joint_t1,
+        ),
+        (
+            "joint t2",
+            &got.train_hash_joint_t2,
+            &want.train_hash_joint_t2,
+        ),
+    ];
+    for (what, got, want) in pins {
+        assert_eq!(
+            got, want,
+            "{what} training run bits changed: the loop no longer reproduces \
+             the checked-in history and final parameters exactly"
+        );
+    }
 }
 
 /// Deterministic `f32` stream in `[-scale, scale)` from a 64-bit LCG.
@@ -204,20 +266,128 @@ fn flux_step_bits() -> Vec<u32> {
     bits
 }
 
-/// 64-bit FNV-1a over the little-endian bytes of [`flux_step_bits`].
-fn flux_step_hash() -> String {
+/// 64-bit FNV-1a over `bytes`, as 16 hex digits.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in flux_step_bits().iter().flat_map(|w| w.to_le_bytes()) {
+    for b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
     }
     format!("{h:016x}")
+}
+
+/// FNV-1a over the little-endian bytes of [`flux_step_bits`].
+fn flux_step_hash() -> String {
+    fnv1a(flux_step_bits().iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// Crop of the pin-5 flux and joint runs (three pool stages leave 3×3).
+const TRAIN_PIN_CROP: usize = 24;
+
+/// The shared pin-5 dataset: 8 samples, 6 for training and 2 for
+/// validation.
+fn train_pin_dataset() -> Dataset {
+    Dataset::generate(&DatasetConfig {
+        n_samples: 8,
+        catalog_size: 200,
+        seed: SEED,
+    })
+}
+
+/// FNV-1a over the bits of every field of every `TrainRecord` followed
+/// by the bits of every final parameter value.
+fn train_hash(history: &[TrainRecord], params: &[&Param]) -> String {
+    assert_eq!(history.len(), 2, "pin runs train 2 epochs");
+    let mut bytes = Vec::new();
+    for r in history {
+        bytes.extend((r.epoch as u64).to_le_bytes());
+        for v in [r.train_loss, r.val_loss, r.train_acc, r.val_acc] {
+            bytes.extend(v.to_bits().to_le_bytes());
+        }
+    }
+    for p in params {
+        bytes.extend(
+            p.value
+                .data()
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes()),
+        );
+    }
+    fnv1a(bytes)
+}
+
+fn train_hash_flux(threads: usize) -> String {
+    let ds = train_pin_dataset();
+    let train_refs = flux_pair_refs(&ds, &[0, 1, 2, 3, 4, 5], 2, SEED);
+    let val_refs = flux_pair_refs(&ds, &[6, 7], 2, SEED + 1);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5);
+    let mut cnn = FluxCnn::new(TRAIN_PIN_CROP, PoolKind::Max, &mut rng);
+    let history = train_flux_cnn(
+        &mut cnn,
+        &ds,
+        &train_refs,
+        &val_refs,
+        &FluxTrainConfig {
+            crop: TRAIN_PIN_CROP,
+            epochs: 2,
+            batch_size: 4,
+            lr: 1e-3,
+            pairs_per_sample: 2,
+            augment: true,
+            seed: SEED,
+            threads,
+        },
+    );
+    train_hash(&history, &cnn.params())
+}
+
+fn train_hash_classifier(threads: usize) -> String {
+    let ds = train_pin_dataset();
+    let (xt, tt, _) = feature_matrix(&ds, &[0, 1, 2, 3, 4, 5], 1);
+    let (xv, tv, _) = feature_matrix(&ds, &[6, 7], 1);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x6);
+    let mut clf = LightCurveClassifier::new(1, 8, &mut rng);
+    let history = train_classifier(
+        &mut clf,
+        (&xt, &tt),
+        (&xv, &tv),
+        &ClassifierTrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            lr: 3e-3,
+            seed: SEED,
+            threads,
+        },
+    );
+    train_hash(&history, &clf.params())
+}
+
+fn train_hash_joint(threads: usize) -> String {
+    let ds = train_pin_dataset();
+    let train_ex = joint_examples(&[0, 1, 2, 3, 4, 5]);
+    let val_ex = joint_examples(&[6, 7]);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x7);
+    let mut jm = JointModel::from_scratch(TRAIN_PIN_CROP, 8, &mut rng);
+    let history = train_joint(
+        &mut jm,
+        &ds,
+        &train_ex,
+        &val_ex,
+        &ClassifierTrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            lr: 3e-3,
+            seed: SEED,
+            threads,
+        },
+    );
+    train_hash(&history, &jm.params())
 }
 
 /// Serve scores must be bit-identical to a direct forward call whatever
 /// the batch size — the acceptance criterion for the engine.
 #[test]
 fn serve_scores_are_bit_identical_to_direct_inference() {
-    let (mut clf, xe, _, _) = run_pipeline();
+    let (mut clf, xe, _) = run_pipeline();
     let direct = classifier_scores(&mut clf, &xe);
     let dim = xe.shape()[1];
     let requests: Vec<Request> = xe

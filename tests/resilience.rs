@@ -6,15 +6,21 @@ use rand::SeedableRng;
 
 use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
+use snia_repro::core::joint::JointModel;
+use snia_repro::core::model::Model;
 use snia_repro::core::resilience::{
-    CheckpointDir, CheckpointError, Checkpointable, FaultPlan, Resilience, WatchdogConfig,
+    capture_state, CheckpointDir, CheckpointError, FaultPlan, Resilience, WatchdogConfig,
 };
 use snia_repro::core::train::{
-    classifier_scores, feature_matrix, flux_pair_refs, train_classifier_resilient,
-    train_flux_cnn_resilient, ClassifierTrainConfig, FluxTrainConfig,
+    classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
+    train_classifier_resilient, train_flux_cnn_resilient, train_joint_resilient,
+    ClassifierTrainConfig, FluxTrainConfig,
 };
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
-use snia_repro::nn::serialize::snapshot;
+use snia_repro::nn::optim::Adam;
+use snia_repro::nn::serialize::{snapshot, LoadError};
+use snia_repro::nn::StateError;
+use snia_repro::serve::ModelBundle;
 
 fn small_dataset(seed: u64) -> Dataset {
     Dataset::generate(&DatasetConfig {
@@ -272,4 +278,122 @@ fn restoring_into_a_mismatched_model_is_a_typed_error() {
         matches!(wide.restore(&state), Err(CheckpointError::Model(_))),
         "shape mismatch must surface as CheckpointError::Model"
     );
+}
+
+fn fresh_joint() -> JointModel {
+    JointModel::from_scratch(24, 8, &mut StdRng::seed_from_u64(23))
+}
+
+#[test]
+fn joint_resume_reproduces_uninterrupted_run_exactly() {
+    let ds = small_dataset(26);
+    let (tr, va, _) = split_indices(ds.len(), 1);
+    let train_ex = joint_examples(&tr[..4]);
+    let val_ex = joint_examples(&va[..2]);
+    let cfg = |epochs| ClassifierTrainConfig {
+        epochs,
+        batch_size: 8,
+        lr: 3e-3,
+        seed: 47,
+        threads: 1,
+    };
+
+    let mut a = fresh_joint();
+    let hist_a = train_joint_resilient(
+        &mut a,
+        &ds,
+        &train_ex,
+        &val_ex,
+        &cfg(3),
+        &Resilience::disabled(),
+    )
+    .expect("reference run");
+    assert_eq!(hist_a.len(), 3);
+
+    let dir = scratch_dir("joint-resume");
+    let mut b = fresh_joint();
+    train_joint_resilient(
+        &mut b,
+        &ds,
+        &train_ex,
+        &val_ex,
+        &cfg(1),
+        &Resilience::with_dir(&dir),
+    )
+    .expect("partial run");
+    let mut c = fresh_joint();
+    let hist_c = train_joint_resilient(
+        &mut c,
+        &ds,
+        &train_ex,
+        &val_ex,
+        &cfg(3),
+        &Resilience::with_dir(&dir),
+    )
+    .expect("resumed run");
+
+    assert!(hist_eq(&hist_a, &hist_c), "{hist_a:?} != {hist_c:?}");
+    assert_eq!(a.capture(), c.capture());
+    assert_eq!(
+        joint_scores(&mut a, &ds, &val_ex, 4),
+        joint_scores(&mut c, &ds, &val_ex, 4)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_joint_state_is_a_typed_error() {
+    let jm = fresh_joint();
+    let full = jm.capture();
+
+    let mut missing_tensor = full.clone();
+    missing_tensor.weights.tensors.pop();
+    let mut target = fresh_joint();
+    assert!(
+        matches!(
+            target.restore(&missing_tensor),
+            Err(CheckpointError::Model(LoadError::CountMismatch { .. }))
+        ),
+        "a missing joint tensor must surface as LoadError::CountMismatch"
+    );
+
+    let mut missing_layer = full;
+    missing_layer.extra.remove(0);
+    assert!(
+        matches!(
+            target.restore(&missing_layer),
+            Err(CheckpointError::State(StateError::LayerCount { .. }))
+        ),
+        "a missing joint layer state must surface as StateError::LayerCount"
+    );
+}
+
+/// 64-bit FNV-1a of `bytes`, as 16 hex digits.
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The joint model's state layout (CNN tensors, then classifier tensors;
+/// CNN layer states, then classifier layer states) pinned across commits
+/// through the exact bytes of a SNIA-CKPT checkpoint and a SNIA-BUNDLE
+/// weight file.
+#[test]
+fn joint_checkpoint_and_bundle_bytes_are_pinned() {
+    let jm = fresh_joint();
+    let rng = StdRng::seed_from_u64(5);
+    let state = capture_state(&jm, &Adam::new(1e-3), &rng, 1, 2, &[]);
+    let ckpt = state.to_bytes().expect("encode checkpoint");
+    assert_eq!(fnv1a(&ckpt), "1c56bd939459f98c");
+
+    let dir = scratch_dir("joint-bundle");
+    ModelBundle::from_joint(&jm)
+        .save(&dir)
+        .expect("save bundle");
+    let weights = std::fs::read(dir.join("weights.snia")).expect("read bundle weights");
+    assert_eq!(fnv1a(&weights), "f76671c31b23c52a");
+    std::fs::remove_dir_all(&dir).ok();
 }
