@@ -189,8 +189,8 @@ fn plain_classifier_auc(
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("ablate");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("ablate");
+    let cfg = run.experiment;
     progress!("# Ablations (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -62,8 +62,8 @@ fn epoch_ms(ds: &Dataset, refs: &[(usize, usize)]) -> (f64, f64) {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("bench_render");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("bench_render");
+    let cfg = run.experiment;
     progress!("# Dataset generation + render cache benchmark");
 
     // --- parallel generation, 1/4/8 threads ---

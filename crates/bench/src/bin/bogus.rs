@@ -30,8 +30,8 @@ struct BogusResult {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("bogus");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("bogus");
+    let cfg = run.experiment;
     let n_train = (cfg.dataset.n_samples * 2).max(400);
     let n_test = (n_train / 4).max(100);
     progress!("# Bogus rejection extension ({n_train} train / {n_test} test candidates)");

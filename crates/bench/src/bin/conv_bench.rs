@@ -105,8 +105,8 @@ fn time_joint_training(ds: &Dataset, threads: usize, seed: u64) -> f64 {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("conv_bench");
-    let mut cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("conv_bench");
+    let mut cfg = run.experiment;
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(16);
     progress!("# Conv backend + batch executor benchmark");
 

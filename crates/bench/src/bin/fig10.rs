@@ -25,8 +25,8 @@ struct EpochResult {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig10");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig10");
+    let cfg = run.experiment;
     progress!(
         "# Figure 10 — ROC vs. observation epochs (config: {:?})",
         cfg.dataset

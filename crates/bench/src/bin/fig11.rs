@@ -51,8 +51,8 @@ fn all_epochs(idx: &[usize]) -> Vec<JointExample> {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig11");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig11");
+    let cfg = run.experiment;
     progress!("# Figure 11 — joint model ROC (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -12,8 +12,6 @@ use snia_bench::{progress, write_json, Table};
 use snia_core::classifier::LightCurveClassifier;
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::joint::JointModel;
-use snia_core::resilience::Resilience;
-use snia_core::resume_from_env_args;
 use snia_core::train::{
     feature_matrix, flux_pair_refs, train_classifier_resilient, train_flux_cnn_resilient,
     train_joint_resilient, ClassifierTrainConfig, FluxTrainConfig, JointExample, TrainRecord,
@@ -24,17 +22,6 @@ use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
 struct Fig12Result {
     fine_tune: Vec<TrainRecord>,
     from_scratch: Vec<TrainRecord>,
-}
-
-/// Resilience policy for one of the figure's four training stages: each
-/// stage checkpoints into its own subdirectory of the `--resume` /
-/// `SNIA_RESUME` root so a killed run restarts mid-pipeline.
-fn stage_res(root: &Option<std::path::PathBuf>, stage: &str) -> Resilience {
-    let mut res = Resilience::from_env();
-    if let Some(root) = root {
-        res = res.with_checkpoint_dir(root.join(stage));
-    }
-    res
 }
 
 fn one_per_sample(idx: &[usize]) -> Vec<JointExample> {
@@ -50,8 +37,8 @@ fn one_per_sample(idx: &[usize]) -> Vec<JointExample> {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig12");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig12");
+    let cfg = run.experiment;
     progress!(
         "# Figure 12 — fine-tuning vs. from scratch (config: {:?})",
         cfg.dataset
@@ -62,7 +49,6 @@ fn main() {
     let train_ex = one_per_sample(&tr);
     let val_ex = one_per_sample(&va);
     let epochs = cfg.scaled(3);
-    let ckpt_root = resume_from_env_args();
 
     // --- fine-tuned variant: pre-train both parts first ---
     progress!("\npre-training parts for the fine-tuned variant...");
@@ -85,7 +71,7 @@ fn main() {
             seed: cfg.seed + 5,
             threads: cfg.threads,
         },
-        &stage_res(&ckpt_root, "flux"),
+        &run.resilience("flux"),
     )
     .unwrap_or_else(|e| panic!("fig12 flux pre-training failed: {e}"));
     let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
@@ -102,7 +88,7 @@ fn main() {
             seed: cfg.seed + 6,
             threads: cfg.threads,
         },
-        &stage_res(&ckpt_root, "classifier"),
+        &run.resilience("classifier"),
     )
     .unwrap_or_else(|e| panic!("fig12 classifier pre-training failed: {e}"));
     let mut fine = JointModel::from_pretrained(cnn, clf);
@@ -119,7 +105,7 @@ fn main() {
             seed: cfg.seed + 7,
             threads: cfg.threads,
         },
-        &stage_res(&ckpt_root, "fine_tune"),
+        &run.resilience("fine_tune"),
     )
     .unwrap_or_else(|e| panic!("fig12 fine-tuning failed: {e}"));
 
@@ -139,7 +125,7 @@ fn main() {
             seed: cfg.seed + 8,
             threads: cfg.threads,
         },
-        &stage_res(&ckpt_root, "scratch"),
+        &run.resilience("scratch"),
     )
     .unwrap_or_else(|e| panic!("fig12 from-scratch training failed: {e}"));
 

@@ -33,8 +33,8 @@ fn occupancy(points: &[(f64, f64)], grid: usize) -> f64 {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig3");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig3");
+    let cfg = run.experiment;
     progress!(
         "# Figure 3 — host galaxy coverage (config: {:?})",
         cfg.dataset

@@ -33,8 +33,8 @@ fn median(values: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig4");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig4");
+    let cfg = run.experiment;
     progress!(
         "# Figure 4 — SN offsets from hosts (config: {:?})",
         cfg.dataset

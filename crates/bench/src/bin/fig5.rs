@@ -60,8 +60,8 @@ fn dump_triplet(ds: &Dataset, sample_idx: usize, tag: &str, dir: &std::path::Pat
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig5");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig5");
+    let cfg = run.experiment;
     progress!("# Figure 5 — example stamps (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
 

@@ -31,8 +31,8 @@ struct BinStat {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig8");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig8");
+    let cfg = run.experiment;
     progress!(
         "# Figure 8 — true vs. estimated magnitudes (config: {:?})",
         cfg.dataset

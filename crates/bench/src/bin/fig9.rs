@@ -11,8 +11,6 @@ use serde::Serialize;
 use snia_bench::{progress, write_json, Table};
 use snia_core::classifier::LightCurveClassifier;
 use snia_core::eval::{auc, roc_curve};
-use snia_core::resilience::Resilience;
-use snia_core::resume_from_env_args;
 use snia_core::train::{
     classifier_scores, feature_matrix, train_classifier_resilient, ClassifierTrainConfig,
 };
@@ -26,8 +24,8 @@ struct WidthResult {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("fig9");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("fig9");
+    let cfg = run.experiment;
     progress!(
         "# Figure 9 — ROC vs. hidden units (config: {:?})",
         cfg.dataset
@@ -37,10 +35,6 @@ fn main() {
     let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
     let (xv, tv, _) = feature_matrix(&ds, &va, 1);
     let (xe, _, labels) = feature_matrix(&ds, &te, 1);
-
-    // `--resume <dir>` / SNIA_RESUME: each width checkpoints into its own
-    // subdirectory so a killed run restarts from the last finished epoch.
-    let ckpt_root = resume_from_env_args();
 
     let mut table = Table::new(vec!["hidden units", "test AUC"]);
     let mut results = Vec::new();
@@ -54,10 +48,7 @@ fn main() {
             seed: cfg.seed + hidden as u64,
             threads: cfg.threads,
         };
-        let mut res = Resilience::from_env();
-        if let Some(root) = &ckpt_root {
-            res = res.with_checkpoint_dir(root.join(format!("hidden{hidden}")));
-        }
+        let res = run.resilience(&format!("hidden{hidden}"));
         train_classifier_resilient(&mut clf, (&xt, &tt), (&xv, &tv), &tcfg, &res)
             .unwrap_or_else(|e| panic!("fig9 training (hidden {hidden}) failed: {e}"));
         let scores = classifier_scores(&mut clf, &xe);

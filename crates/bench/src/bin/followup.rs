@@ -39,8 +39,8 @@ fn purity_at(scores: &[f64], labels: &[bool], k: usize) -> (usize, f64) {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("followup");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("followup");
+    let cfg = run.experiment;
     progress!("# Follow-up selection (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -40,8 +40,8 @@ fn error_stats(pairs: &[(f64, f64)]) -> (f64, f64) {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("photometry");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("photometry");
+    let cfg = run.experiment;
     progress!("# Photometry comparison (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

@@ -34,8 +34,8 @@ fn mean_std(v: &[f64]) -> (f64, f64) {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("table1");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("table1");
+    let cfg = run.experiment;
     progress!("# Table 1 — loss vs. crop size (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

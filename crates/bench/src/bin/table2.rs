@@ -43,8 +43,8 @@ fn labels_of(ds: &Dataset, idx: &[usize]) -> Vec<bool> {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("table2");
-    let cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("table2");
+    let cfg = run.experiment;
     progress!("# Table 2 — method comparison (config: {:?})", cfg.dataset);
     let ds = Dataset::generate(&cfg.dataset);
     let (tr, va, te) = split_indices(ds.len(), cfg.seed);

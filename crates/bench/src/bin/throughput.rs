@@ -59,19 +59,8 @@ struct ServeBenchResult {
 
 const MAX_WAIT: Duration = Duration::from_millis(1);
 
-/// Worker counts to sweep, from `--threads 1,4,8` (the default).
-fn thread_counts() -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let spec = args
-        .windows(2)
-        .find(|w| w[0] == "--threads")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "1,4,8".into());
-    spec.split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .collect()
-}
+/// Engine worker counts the serve benchmark sweeps.
+const WORKERS: [usize; 3] = [1, 4, 8];
 
 /// Times one request set: a single-sample scoring loop on `single`,
 /// then the engine (same weights, via `bundle`) at each worker count.
@@ -98,7 +87,7 @@ fn bench_serve_mode(
     ]);
 
     let mut engine_points = Vec::new();
-    for workers in thread_counts() {
+    for workers in WORKERS {
         let engine = Engine::from_bundle(
             bundle,
             EngineConfig {
@@ -216,8 +205,8 @@ fn bench_serve(ds: &Dataset, seed: u64) -> ServeBenchResult {
 }
 
 fn main() {
-    let _telemetry = snia_bench::init_telemetry("throughput");
-    let mut cfg = snia_bench::experiment_config();
+    let (run, _telemetry) = snia_bench::start("throughput");
+    let mut cfg = run.experiment;
     // Throughput needs only a handful of samples.
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(64);
     progress!("# Inference throughput (single core, crop 60)");

@@ -182,36 +182,85 @@ fn run_scores(path: &str, expect: Option<usize>) -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str = "usage: validate_jsonl [--crashed] <events.jsonl>
+       validate_jsonl --scores [--expect <n>] <scores.jsonl>";
+
+/// The options and path on the command line: `(crashed, scores, expect, path)`.
+fn parse_args(args: Vec<String>) -> Result<(bool, bool, Option<usize>, String), String> {
+    let (mut crashed, mut scores, mut expect, mut path) = (false, false, None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--crashed" => crashed = true,
+            "--scores" => scores = true,
+            "--expect" => {
+                let n = args.next().unwrap_or_default();
+                expect = Some(n.parse().map_err(|_| {
+                    format!("invalid --expect value {n:?}: expected a response count")
+                })?);
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            _ if path.is_none() => path = Some(arg),
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        }
+    }
+    let path = path.ok_or("missing the JSONL path")?;
+    Ok((crashed, scores, expect, path))
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let crashed = args.iter().any(|a| a == "--crashed");
-    let scores = args.iter().any(|a| a == "--scores");
-    let expect = args
-        .windows(2)
-        .find(|w| w[0] == "--expect")
-        .and_then(|w| w[1].parse().ok());
-    let Some(path) = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--expect"))
-        .map(|(_, a)| a)
-    else {
-        eprintln!(
-            "usage: validate_jsonl [--crashed] <events.jsonl>\n       \
-             validate_jsonl --scores [--expect <n>] <scores.jsonl>"
-        );
-        return ExitCode::FAILURE;
+    let (crashed, scores, expect, path) = match parse_args(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     let result = if scores {
-        run_scores(path, expect)
+        run_scores(&path, expect)
     } else {
-        run(path, crashed)
+        run(&path, crashed)
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(bool, bool, Option<usize>, String), String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn arguments_parse_or_fail_loudly() {
+        assert_eq!(
+            parse(&["e.jsonl"]),
+            Ok((false, false, None, "e.jsonl".into()))
+        );
+        assert_eq!(
+            parse(&["--crashed", "e.jsonl"]),
+            Ok((true, false, None, "e.jsonl".into()))
+        );
+        assert_eq!(
+            parse(&["--scores", "--expect", "100", "s.jsonl"]),
+            Ok((false, true, Some(100), "s.jsonl".into()))
+        );
+        for bad in [
+            &["--scores", "--expect", "abc", "s.jsonl"][..],
+            &["--scores", "s.jsonl", "--expect"],
+            &["--expect", "--scores", "s.jsonl"],
+            &["--bogus", "e.jsonl"],
+            &["--scores"],
+            &["a.jsonl", "b.jsonl"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 }

@@ -26,9 +26,9 @@
 //! | `throughput`| extension: survey-scale inference rate |
 //! | `figures` | renders `results/*.json` into SVG under `results/figures/` |
 //!
-//! Every binary honours `SNIA_FULL=1` / `SNIA_SCALE=<x>` / `SNIA_SEED=<n>`
-//! (see `snia_core::config`), prints a Markdown table to stdout and writes
-//! a JSON result file under `results/`.
+//! Every binary reads its flags and environment through [`start`] (see
+//! `snia_core::config`), prints a Markdown table to stdout and writes a
+//! JSON result file under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,13 +39,34 @@ pub mod telemetry_setup;
 
 pub use plot::{Chart, Series};
 pub use report::{results_dir, write_json, Table};
-pub use telemetry_setup::{init_telemetry, TelemetryGuard};
+pub use telemetry_setup::TelemetryGuard;
 
-/// The [`snia_core::ExperimentConfig`] from the environment and CLI flags;
-/// a malformed value (e.g. `--threads foo`) is printed and exits with 2.
-pub fn experiment_config() -> snia_core::ExperimentConfig {
-    snia_core::ExperimentConfig::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+use snia_core::RunConfig;
+use snia_dataset::cache;
+
+/// Parses the process's flags and environment into a [`RunConfig`], points
+/// the results directory, the render cache and telemetry at it, and
+/// returns it with the guard that flushes telemetry on drop. A malformed
+/// or unknown flag or variable is printed and exits with code 2.
+pub fn start(experiment: &str) -> (RunConfig, TelemetryGuard) {
+    let run = RunConfig::parse(std::env::args().skip(1), |name| std::env::var(name).ok())
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
+    if let Some(dir) = &run.results_dir {
+        report::set_results_dir(dir.clone());
+    }
+    if let Some(mb) = run.render_cache_mem_mb {
+        cache::set_memory_cap(mb.saturating_mul(1024 * 1024));
+    }
+    if let Some(dir) = &run.render_cache {
+        // Caching is an optimisation, never a hard failure.
+        match cache::configure(Some(dir)) {
+            Ok(()) => println!("[render cache at {}]", dir.display()),
+            Err(e) => eprintln!("warning: render cache disabled ({}: {e})", dir.display()),
+        }
+    }
+    let telemetry = telemetry_setup::init(experiment, run.telemetry.as_ref());
+    (run, telemetry)
 }

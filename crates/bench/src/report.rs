@@ -3,6 +3,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use serde::Serialize;
 
@@ -68,14 +69,21 @@ impl Table {
     }
 }
 
-/// Resolves the `results/` directory (workspace root), creating it if
-/// needed. `SNIA_RESULTS_DIR` overrides the location.
+static RESULTS_DIR: OnceLock<PathBuf> = OnceLock::new();
+
+/// Relocates `results/` for the rest of the process (`SNIA_RESULTS_DIR`,
+/// applied by [`crate::start`]); only the first call counts.
+pub(crate) fn set_results_dir(dir: PathBuf) {
+    let _ = RESULTS_DIR.set(dir);
+}
+
+/// The `results/` directory (the workspace's, unless relocated by
+/// `SNIA_RESULTS_DIR`), created if needed.
 pub fn results_dir() -> PathBuf {
-    // The binaries run from the workspace; prefer ./results relative to
-    // the cargo manifest dir's workspace root.
-    let dir = std::env::var("SNIA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
+    let dir = RESULTS_DIR
+        .get()
+        .cloned()
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
     fs::create_dir_all(&dir).expect("cannot create results directory");
     dir
 }
@@ -115,14 +123,13 @@ mod tests {
 
     #[test]
     fn write_json_creates_file() {
-        std::env::set_var(
-            "SNIA_RESULTS_DIR",
-            std::env::temp_dir().join("snia_results_test"),
-        );
+        // The only test that writes results, so relocating them for the
+        // whole test process is safe.
+        let dir = std::env::temp_dir().join(format!("snia_results_test_{}", std::process::id()));
+        set_results_dir(dir.clone());
         write_json("unit_test", &serde_json::json!({"x": 1}));
-        let p = std::env::temp_dir().join("snia_results_test/unit_test.json");
-        assert!(p.exists());
-        std::fs::remove_file(p).ok();
-        std::env::remove_var("SNIA_RESULTS_DIR");
+        let p = dir.join("unit_test.json");
+        assert_eq!(fs::read_to_string(&p).unwrap(), "{\n  \"x\": 1\n}");
+        fs::remove_dir_all(dir).ok();
     }
 }

@@ -1,13 +1,9 @@
 //! Shared telemetry wiring for the experiment binaries.
 //!
-//! Every binary calls [`init_telemetry`] first thing in `main`. Collection
-//! turns on when either:
-//!
-//! * `--metrics-out <path>` (or `--metrics-out=<path>`) is on the command
-//!   line — JSONL events stream to that path; or
-//! * `SNIA_TELEMETRY` is set to anything but `0`/`off`/`false` — JSONL
-//!   events stream to `results/telemetry/<experiment>.jsonl`
-//!   (`SNIA_RESULTS_DIR` relocates `results/`).
+//! [`crate::start`] installs the sink its [`TelemetrySink`] names:
+//! `--metrics-out <path>` streams JSONL events to that path, and
+//! `SNIA_TELEMETRY=1` to `results/telemetry/<experiment>.jsonl`
+//! (`SNIA_RESULTS_DIR` relocates `results/`).
 //!
 //! The returned guard flushes the sink and prints an end-of-run summary
 //! table (p50/p90/p99 per histogram, plus counters and gauges) when it
@@ -16,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use snia_core::config::TelemetrySink;
 use snia_telemetry as telemetry;
 
 use crate::report::{results_dir, Table};
@@ -41,60 +38,31 @@ impl Drop for TelemetryGuard {
     }
 }
 
-/// Configures telemetry for an experiment binary (see module docs) and
-/// returns the guard that flushes and summarises on drop.
-///
-/// Also activates the stamp render cache when `--render-cache <dir>` or
-/// `SNIA_RENDER_CACHE` is present, so every experiment binary shares the
-/// flag without per-binary wiring.
-pub fn init_telemetry(experiment: &str) -> TelemetryGuard {
-    if let Some(dir) = snia_core::render_cache_from_env_args() {
-        println!("[render cache at {}]", dir.display());
-    }
-    let mut out: Option<PathBuf> = None;
-
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(path) = arg.strip_prefix("--metrics-out=") {
-            out = Some(PathBuf::from(path));
-        } else if arg == "--metrics-out" {
-            match args.get(i + 1) {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => eprintln!("warning: --metrics-out needs a path; telemetry stays off"),
-            }
-        }
-    }
-
-    if out.is_none() {
-        let env = std::env::var("SNIA_TELEMETRY").unwrap_or_default();
-        if !env.is_empty() && !matches!(env.as_str(), "0" | "off" | "false") {
-            out = Some(
-                results_dir()
-                    .join("telemetry")
-                    .join(format!("{experiment}.jsonl")),
-            );
-        }
-    }
-
-    let Some(path) = out else {
-        return TelemetryGuard { jsonl_path: None };
+/// Installs the JSONL sink `sink` names, if any, for `experiment` and returns the
+/// guard that flushes and summarises on drop.
+pub(crate) fn init(experiment: &str, sink: Option<&TelemetrySink>) -> TelemetryGuard {
+    let path = match sink {
+        None => return TelemetryGuard { jsonl_path: None },
+        Some(TelemetrySink::File(path)) => path.clone(),
+        Some(TelemetrySink::ResultsDir) => results_dir()
+            .join("telemetry")
+            .join(format!("{experiment}.jsonl")),
     };
-    match telemetry::JsonlSink::create(&path) {
+    let jsonl_path = match telemetry::JsonlSink::create(&path) {
         Ok(sink) => {
             telemetry::install_sink(sink);
             telemetry::set_enabled(true);
-            TelemetryGuard {
-                jsonl_path: Some(path),
-            }
+            Some(path)
         }
         Err(e) => {
             eprintln!(
                 "warning: cannot open telemetry sink {}: {e}; telemetry stays off",
                 path.display()
             );
-            TelemetryGuard { jsonl_path: None }
+            None
         }
-    }
+    };
+    TelemetryGuard { jsonl_path }
 }
 
 /// Renders the metrics snapshot as Markdown tables on stdout.

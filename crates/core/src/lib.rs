@@ -19,9 +19,9 @@
 //!   comparison).
 //!
 //! Plus the training loops ([`train`]), evaluation metrics
-//! ([`eval`]: ROC/AUC, regression losses) and experiment configuration
-//! ([`config`]: `SNIA_SCALE` / `SNIA_FULL` / `SNIA_SEED` environment
-//! overrides) used by every experiment regenerator in `snia-bench`.
+//! ([`eval`]: ROC/AUC, regression losses) and the run configuration
+//! ([`config`]: the one parser for every `--flag` and `SNIA_*` variable)
+//! used by every experiment regenerator in `snia-bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +39,7 @@ pub mod resilience;
 pub mod train;
 
 pub use classifier::LightCurveClassifier;
-pub use config::{
-    render_cache_from_args, render_cache_from_env_args, resume_from_args, resume_from_env_args,
-    ConfigError, ExperimentConfig,
-};
+pub use config::{ConfigError, ExperimentConfig, RunConfig};
 pub use eval::{auc, roc_curve, RocPoint};
 pub use flux_cnn::FluxCnn;
 pub use input::{mag_to_target, pair_to_input, target_to_mag};

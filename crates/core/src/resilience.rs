@@ -533,7 +533,8 @@ impl Watchdog {
 /// * `kill@epoch=N` — hard-exit the process (code 137) at the start of
 ///   epoch `N`, after the previous epoch's checkpoint landed.
 ///
-/// Each fault fires at most once per process so recovery is observable.
+/// Each fault fires at most once per plan so recovery is observable; a
+/// clone is the same schedule with nothing fired yet.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     nan_loss_step: Option<u64>,
@@ -544,11 +545,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// Parses a spec such as `nan_loss@step=40,kill@epoch=3`.
     ///
     /// # Errors
@@ -575,19 +571,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Parses the `SNIA_FAULT` environment variable (empty plan if unset).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error message when the variable is set but
-    /// malformed.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("SNIA_FAULT") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
     }
 
     /// Whether the plan injects nothing.
@@ -633,6 +616,17 @@ impl FaultPlan {
     }
 }
 
+impl Clone for FaultPlan {
+    fn clone(&self) -> Self {
+        let fresh = || AtomicBool::new(false);
+        FaultPlan {
+            nan_fired: fresh(),
+            panic_fired: fresh(),
+            ..*self
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Resilience policy
 // ---------------------------------------------------------------------------
@@ -651,47 +645,23 @@ pub struct Resilience {
 impl Resilience {
     /// No checkpointing, no watchdog, no faults — the legacy fast path.
     pub fn disabled() -> Self {
-        Resilience {
-            checkpoint_dir: None,
-            watchdog: None,
-            faults: FaultPlan::none(),
-        }
+        Resilience::new(None, FaultPlan::default())
     }
 
     /// Checkpointing into `dir` with the default watchdog.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        Resilience {
-            checkpoint_dir: Some(dir.into()),
-            watchdog: Some(WatchdogConfig::default()),
-            faults: FaultPlan::none(),
-        }
+        Resilience::new(Some(dir.into()), FaultPlan::default())
     }
 
-    /// Policy from the environment: `SNIA_RESUME` names the checkpoint
-    /// directory and `SNIA_FAULT` the injection plan (malformed plans are
-    /// reported to stderr and ignored). The watchdog is on whenever either
-    /// is configured.
-    pub fn from_env() -> Self {
-        let checkpoint_dir = std::env::var_os("SNIA_RESUME").map(PathBuf::from);
-        let faults = FaultPlan::from_env().unwrap_or_else(|e| {
-            eprintln!("warning: ignoring SNIA_FAULT: {e}");
-            FaultPlan::none()
-        });
+    /// Checkpointing into `checkpoint_dir` (if any) with `faults` injected;
+    /// the watchdog is on whenever either is configured.
+    pub fn new(checkpoint_dir: Option<PathBuf>, faults: FaultPlan) -> Self {
         let active = checkpoint_dir.is_some() || !faults.is_empty();
         Resilience {
             checkpoint_dir,
             watchdog: active.then(WatchdogConfig::default),
             faults,
         }
-    }
-
-    /// Returns the policy with the checkpoint directory replaced.
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        if self.watchdog.is_none() {
-            self.watchdog = Some(WatchdogConfig::default());
-        }
-        self
     }
 }
 
@@ -1044,6 +1014,10 @@ mod tests {
         assert!(!plan.fire_panic_worker(2), "panic_worker must fire once");
         assert!(plan.should_kill(3));
         assert!(!plan.should_kill(4));
+        let fresh = plan.clone();
+        assert!(fresh.fire_nan_loss(40), "a clone starts unfired");
+        assert!(fresh.fire_panic_worker(2));
+        assert!(fresh.should_kill(3));
 
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("nan_loss@step").is_err());

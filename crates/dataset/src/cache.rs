@@ -7,12 +7,13 @@
 //! any risk of changing an answer: a hit returns exactly the bytes a miss
 //! would have computed.
 //!
-//! Two layers, enabled together by [`configure`] (the `--render-cache
-//! <dir>` flag or the `SNIA_RENDER_CACHE` environment variable):
+//! Two layers, enabled together by [`configure`] (which the experiment
+//! binaries call for the `--render-cache <dir>` flag or the
+//! `SNIA_RENDER_CACHE` environment variable):
 //!
-//! * an **in-memory stamp cache** (bounded by
-//!   `SNIA_RENDER_CACHE_MEM_MB`, default 256 MiB) that makes every epoch
-//!   after the first free;
+//! * an **in-memory stamp cache** (bounded by [`set_memory_cap`], which
+//!   `SNIA_RENDER_CACHE_MEM_MB` sets; default 256 MiB) that makes every
+//!   epoch after the first free;
 //! * an **on-disk content-addressed store**: one file per stamp named by
 //!   the FNV-1a hash of the *full serialized spec* plus the render
 //!   parameters (observation index, crop, log-stretch flag), CRC-framed
@@ -46,12 +47,10 @@ pub const STAMP_MAGIC: &str = "SNIA-STAMP";
 /// On-disk stamp format version.
 pub const STAMP_VERSION: u32 = 1;
 
-/// Default in-memory layer budget when `SNIA_RENDER_CACHE_MEM_MB` is unset.
+/// Default in-memory layer budget.
 const DEFAULT_MEM_CAP_BYTES: usize = 256 * 1024 * 1024;
 
 struct CacheState {
-    /// Whether [`configure`] or the environment has been consulted yet.
-    initialized: bool,
     /// Disk store directory; `None` = cache disabled.
     dir: Option<PathBuf>,
     /// In-memory stamp layer, keyed by content hash.
@@ -66,7 +65,6 @@ fn state() -> &'static Mutex<CacheState> {
     static STATE: OnceLock<Mutex<CacheState>> = OnceLock::new();
     STATE.get_or_init(|| {
         Mutex::new(CacheState {
-            initialized: false,
             dir: None,
             memory: HashMap::new(),
             memory_bytes: 0,
@@ -109,33 +107,14 @@ pub fn stats() -> CacheStats {
     }
 }
 
-fn ensure_initialized(st: &mut CacheState) {
-    if st.initialized {
-        return;
-    }
-    st.initialized = true;
-    if let Ok(mb) = std::env::var("SNIA_RENDER_CACHE_MEM_MB") {
-        if let Ok(mb) = mb.parse::<usize>() {
-            st.memory_cap = mb.saturating_mul(1024 * 1024);
-        }
-    }
-    if let Ok(dir) = std::env::var("SNIA_RENDER_CACHE") {
-        if !dir.is_empty() && fs::create_dir_all(&dir).is_ok() {
-            st.dir = Some(PathBuf::from(dir));
-        }
-    }
-}
-
 /// Enables the cache with an on-disk store at `dir` (created if missing),
-/// or disables it with `None`. Overrides any `SNIA_RENDER_CACHE`
-/// environment setting. The in-memory layer is cleared either way.
+/// or disables it with `None`. The in-memory layer is cleared either way.
 ///
 /// # Errors
 ///
 /// Returns the I/O error if the directory cannot be created.
 pub fn configure(dir: Option<&Path>) -> io::Result<()> {
     let mut st = state().lock().expect("render cache lock");
-    st.initialized = true;
     st.memory.clear();
     st.memory_bytes = 0;
     match dir {
@@ -148,19 +127,10 @@ pub fn configure(dir: Option<&Path>) -> io::Result<()> {
     Ok(())
 }
 
-/// Whether the cache is active (explicitly configured or via
-/// `SNIA_RENDER_CACHE`).
-pub fn enabled() -> bool {
-    let mut st = state().lock().expect("render cache lock");
-    ensure_initialized(&mut st);
-    st.dir.is_some()
-}
-
-/// The active on-disk store directory, if any.
-pub fn cache_dir() -> Option<PathBuf> {
-    let mut st = state().lock().expect("render cache lock");
-    ensure_initialized(&mut st);
-    st.dir.clone()
+/// Sets the in-memory layer's budget in bytes (default 256 MiB). Stamps
+/// already held stay; inserts stop once the budget is reached.
+pub fn set_memory_cap(bytes: usize) {
+    state().lock().expect("render cache lock").memory_cap = bytes;
 }
 
 /// Drops the in-memory layer (the disk store is untouched). Used by the
@@ -307,8 +277,7 @@ pub fn stamp_pixels(
     log_stretch: bool,
 ) -> Vec<f32> {
     let dir = {
-        let mut st = state().lock().expect("render cache lock");
-        ensure_initialized(&mut st);
+        let st = state().lock().expect("render cache lock");
         match &st.dir {
             None => return render_stamp(spec, obs_index, crop, log_stretch),
             Some(d) => d.clone(),

@@ -42,4 +42,9 @@ cargo test -q --test golden
 echo "== property suite =="
 cargo test -q --test properties
 
+# And the CLI suite: malformed or unknown flags and variables must exit 2
+# before any work.
+echo "== CLI suite =="
+cargo test -q --test cli
+
 echo "ALL CHECKS PASSED"

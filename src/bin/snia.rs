@@ -9,7 +9,6 @@
 //! snia help                                                this text
 //! ```
 
-use std::collections::HashMap;
 use std::fs;
 use std::process::ExitCode;
 
@@ -17,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use snia_repro::core::classifier::LightCurveClassifier;
+use snia_repro::core::config::{integer, positive, text, ConfigError, Sources, DEFAULT_SEED};
 use snia_repro::core::eval::auc;
 use snia_repro::core::resilience::{FaultPlan, Resilience};
 use snia_repro::core::train::{
@@ -29,6 +29,7 @@ const HELP: &str = "snia — single-epoch supernova classification toolkit
 
 USAGE:
     snia <command> [--flag value ...]
+    A malformed or unknown flag exits with code 2 before any work.
 
 COMMANDS:
     dataset    generate dataset sample specs as JSON
@@ -77,59 +78,31 @@ COMMANDS:
     help       print this text
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
+/// A command's failure: a [`ConfigError`] (bad input, exit 2) or a failed
+/// run (exit 1).
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
+/// Reads `--samples`, `--seed` and `--threads`: the dataset to generate and
+/// the threads to use.
+fn dataset_flags(s: &mut Sources) -> Result<(DatasetConfig, usize), ConfigError> {
+    let n = s.get(&["--samples"], integer)?.unwrap_or(200);
+    let seed = s.get(&["--seed"], integer)?.unwrap_or(DEFAULT_SEED);
+    let threads = s.get(&["--threads"], positive)?.unwrap_or(1);
+    let cfg = DatasetConfig {
+        n_samples: n,
+        catalog_size: (n * 4).max(200),
+        seed,
+    };
+    Ok((cfg, threads))
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} expects an integer, got '{v}'")),
-    }
-}
-
-fn flag_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} expects an integer, got '{v}'")),
-    }
-}
-
-fn build_dataset(flags: &HashMap<String, String>) -> Result<Dataset, String> {
-    let n = flag_usize(flags, "samples", 200)?;
-    let seed = flag_u64(flags, "seed", 20170101)?;
-    let threads = flag_usize(flags, "threads", 1)?.max(1);
-    Ok(Dataset::generate_with_threads(
-        &DatasetConfig {
-            n_samples: n,
-            catalog_size: (n * 4).max(200),
-            seed,
-        },
-        threads,
-    ))
-}
-
-fn cmd_dataset(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = build_dataset(flags)?;
-    let out = flags.get("out").map(String::as_str).unwrap_or("specs.json");
+fn cmd_dataset(mut s: Sources) -> Outcome {
+    let (data, threads) = dataset_flags(&mut s)?;
+    let out: String = s.get(&["--out"], text)?.unwrap_or("specs.json".into());
+    s.finish()?;
+    let ds = Dataset::generate_with_threads(&data, threads);
     let json = serde_json::to_string(&ds.samples).map_err(|e| e.to_string())?;
-    fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "wrote {} sample specs ({} SNIa / {} contaminants) to {out}",
         ds.len(),
@@ -139,9 +112,11 @@ fn cmd_dataset(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = build_dataset(flags)?;
-    let i = flag_usize(flags, "sample", 0)?;
+fn cmd_inspect(mut s: Sources) -> Outcome {
+    let (data, threads) = dataset_flags(&mut s)?;
+    let i = s.get(&["--sample"], integer)?.unwrap_or(0);
+    s.finish()?;
+    let ds = Dataset::generate_with_threads(&data, threads);
     let s = ds
         .samples
         .get(i)
@@ -171,11 +146,13 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = build_dataset(flags)?;
-    let i = flag_usize(flags, "sample", 0)?;
-    let j = flag_usize(flags, "obs", 0)?;
-    let prefix = flags.get("out").map(String::as_str).unwrap_or("sample");
+fn cmd_render(mut s: Sources) -> Outcome {
+    let (data, threads) = dataset_flags(&mut s)?;
+    let i = s.get(&["--sample"], integer)?.unwrap_or(0);
+    let j = s.get(&["--obs"], integer)?.unwrap_or(0);
+    let prefix: String = s.get(&["--out"], text)?.unwrap_or("sample".into());
+    s.finish()?;
+    let ds = Dataset::generate_with_threads(&data, threads);
     let s = ds
         .samples
         .get(i)
@@ -184,7 +161,8 @@ fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!(
             "observation {j} out of range (sample has {})",
             s.schedule.observations.len()
-        ));
+        )
+        .into());
     }
     let pair = s.flux_pair(j);
     let diff = pair.observation.subtract(&pair.reference);
@@ -205,16 +183,22 @@ fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(dir) = flags.get("render-cache") {
-        snia_repro::dataset::cache::configure(Some(std::path::Path::new(dir)))
+fn cmd_classify(mut s: Sources) -> Outcome {
+    let (data, threads) = dataset_flags(&mut s)?;
+    let epochs = s.get(&["--epochs"], integer)?.unwrap_or(25);
+    let hidden = s.get(&["--hidden"], integer)?.unwrap_or(100);
+    let resume = s.get(&["--resume", "SNIA_RESUME"], text)?;
+    let faults = s.get(&["--fault", "SNIA_FAULT"], FaultPlan::parse)?;
+    let render_cache: Option<String> = s.get(&["--render-cache", "SNIA_RENDER_CACHE"], text)?;
+    let export_bundle: Option<String> = s.get(&["--export-bundle"], text)?;
+    let export_requests: Option<String> = s.get(&["--export-requests"], text)?;
+    s.finish()?;
+    if let Some(dir) = render_cache {
+        snia_repro::dataset::cache::configure(Some(std::path::Path::new(&dir)))
             .map_err(|e| format!("cannot create render cache {dir}: {e}"))?;
     }
-    let ds = build_dataset(flags)?;
-    let epochs = flag_usize(flags, "epochs", 25)?;
-    let hidden = flag_usize(flags, "hidden", 100)?;
-    let threads = flag_usize(flags, "threads", 1)?.max(1);
-    let seed = flag_u64(flags, "seed", 20170101)?;
+    let ds = Dataset::generate_with_threads(&data, threads);
+    let seed = data.seed;
     let (tr, va, te) = split_indices(ds.len(), seed);
     let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
     let (xv, tv, _) = feature_matrix(&ds, &va, 1);
@@ -227,16 +211,7 @@ fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
         xt.shape()[0],
         epochs
     );
-    let mut res = Resilience::from_env();
-    if let Some(dir) = flags.get("resume") {
-        res = res.with_checkpoint_dir(dir);
-    }
-    if let Some(spec) = flags.get("fault") {
-        res.faults = FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?;
-        if res.watchdog.is_none() {
-            res.watchdog = Some(Default::default());
-        }
-    }
+    let res = Resilience::new(resume, faults.unwrap_or_default());
     let hist = train_classifier_resilient(
         &mut clf,
         (&xt, &tt),
@@ -257,13 +232,13 @@ fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let scores = classifier_scores(&mut clf, &xe);
     println!("single-epoch test AUC: {:.3}", auc(&scores, &labels));
-    if let Some(dir) = flags.get("export-bundle") {
+    if let Some(dir) = export_bundle {
         ModelBundle::from_classifier(&clf)
-            .save(dir)
+            .save(&dir)
             .map_err(|e| format!("cannot export bundle to {dir}: {e}"))?;
         println!("exported model bundle to {dir}/");
     }
-    if let Some(path) = flags.get("export-requests") {
+    if let Some(path) = export_requests {
         let dim = xe.shape()[1];
         let mut text = String::new();
         for (i, row) in xe.data().chunks(dim).enumerate() {
@@ -273,7 +248,7 @@ fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
                 feats.join(",")
             ));
         }
-        fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+        fs::write(&path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "wrote {} serve requests (test split) to {path}",
             xe.shape()[0]
@@ -282,32 +257,35 @@ fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let dir = flags
-        .get("model")
-        .ok_or("serve needs --model <bundle dir>")?;
+fn cmd_serve(mut s: Sources) -> Outcome {
+    let dir: String = s
+        .get(&["--model"], text)?
+        .ok_or(ConfigError::MissingValue("--model"))?;
     let cfg = EngineConfig {
-        max_batch: flag_usize(flags, "max-batch", 32)?.max(1),
-        max_wait: std::time::Duration::from_millis(flag_u64(flags, "max-wait-ms", 2)?),
-        queue_cap: flag_usize(flags, "queue-cap", 1024)?.max(1),
-        workers: flag_usize(flags, "workers", 1)?.max(1),
+        max_batch: s.get(&["--max-batch"], positive)?.unwrap_or(32),
+        max_wait: std::time::Duration::from_millis(
+            s.get(&["--max-wait-ms"], integer)?.unwrap_or(2),
+        ),
+        queue_cap: s.get(&["--queue-cap"], positive)?.unwrap_or(1024),
+        workers: s.get(&["--workers"], positive)?.unwrap_or(1),
     };
-    let bundle = ModelBundle::load(dir).map_err(|e| format!("cannot load bundle {dir}: {e}"))?;
+    let input: String = s.get(&["--input"], text)?.unwrap_or("-".into());
+    let out: String = s.get(&["--out"], text)?.unwrap_or("-".into());
+    s.finish()?;
+    let bundle = ModelBundle::load(&dir).map_err(|e| format!("cannot load bundle {dir}: {e}"))?;
     let engine = Engine::from_bundle(&bundle, cfg).map_err(|e| e.to_string())?;
-    let input = flags.get("input").map(String::as_str).unwrap_or("-");
-    let out = flags.get("out").map(String::as_str).unwrap_or("-");
     let summary = {
         let stdin = std::io::stdin();
         let reader: Box<dyn std::io::BufRead> = if input == "-" {
             Box::new(stdin.lock())
         } else {
-            let f = fs::File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
+            let f = fs::File::open(&input).map_err(|e| format!("cannot open {input}: {e}"))?;
             Box::new(std::io::BufReader::new(f))
         };
         let mut writer: Box<dyn std::io::Write> = if out == "-" {
             Box::new(std::io::stdout().lock())
         } else {
-            let f = fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+            let f = fs::File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
             Box::new(std::io::BufWriter::new(f))
         };
         let summary = serve_lines(&engine, reader, &mut writer).map_err(|e| e.to_string())?;
@@ -326,47 +304,46 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = build_dataset(flags)?;
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("lightcurves.dat");
+fn cmd_export(mut s: Sources) -> Outcome {
+    let (data, threads) = dataset_flags(&mut s)?;
+    let out: String = s.get(&["--out"], text)?.unwrap_or("lightcurves.dat".into());
+    s.finish()?;
+    let ds = Dataset::generate_with_threads(&data, threads);
     let mut text = String::new();
     for s in &ds.samples {
         text.push_str(&snia_repro::dataset::export::to_snpcc(s));
         text.push('\n');
     }
-    fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {} light curves to {out}", ds.len());
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(args: &[String], env: &dyn Fn(&str) -> Option<String>) -> Outcome {
     let command = args.first().map(String::as_str).unwrap_or("help");
-    let flags = parse_flags(&args[1.min(args.len())..])?;
+    let flags = Sources::new(args.iter().skip(1).cloned(), env)?;
     match command {
-        "dataset" => cmd_dataset(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "render" => cmd_render(&flags),
-        "classify" => cmd_classify(&flags),
-        "serve" => cmd_serve(&flags),
-        "export" => cmd_export(&flags),
+        "dataset" => cmd_dataset(flags),
+        "inspect" => cmd_inspect(flags),
+        "render" => cmd_render(flags),
+        "classify" => cmd_classify(flags),
+        "serve" => cmd_serve(flags),
+        "export" => cmd_export(flags),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{HELP}")),
+        other => Err(format!("unknown command '{other}'\n\n{HELP}").into()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args, &|name| std::env::var(name).ok()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(if e.is::<ConfigError>() { 2 } else { 1 })
         }
     }
 }
